@@ -1345,7 +1345,13 @@ impl Communicator {
             return Err(CommError::UnknownOp { op_id });
         }
         let mut op = nb.ops.remove(&op_id).expect("op vanished under the lock");
-        read(op.result.as_ref().unwrap().downcast_ref::<Vec<T>>().unwrap());
+        read(
+            op.result
+                .as_ref()
+                .unwrap()
+                .downcast_ref::<Vec<T>>()
+                .unwrap(),
+        );
         op.taken += 1;
         if op.taken == slot.members {
             nb.retire(op);
@@ -2071,12 +2077,8 @@ mod tests {
                 let slot = slot.clone();
                 let board = board.clone();
                 thread::spawn(move || {
-                    let c = Communicator::with_labels_board(
-                        slot,
-                        i,
-                        Arc::new(vec![0, 1, 2, 3]),
-                        board,
-                    );
+                    let c =
+                        Communicator::with_labels_board(slot, i, Arc::new(vec![0, 1, 2, 3]), board);
                     let suspected = if i == 0 { vec![2] } else { vec![] };
                     c.agree_dead(&suspected).unwrap()
                 })

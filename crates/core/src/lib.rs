@@ -14,8 +14,8 @@
 
 pub mod ckpt;
 pub mod condest;
-pub mod elastic;
 pub mod degrees;
+pub mod elastic;
 pub mod filter;
 pub mod hemm;
 pub mod layout;
@@ -28,9 +28,9 @@ pub mod solver;
 pub mod warm;
 
 pub use ckpt::{load_latest, CkptError, Snapshot, CKPT_FORMAT, CKPT_VERSION};
-pub use elastic::{try_solve_elastic, ElasticOutcome};
 pub use condest::{cond_est, growth_factor};
 pub use degrees::{degree_sort_permutation, optimal_degree, optimize_degrees};
+pub use elastic::{try_solve_elastic, ElasticOutcome};
 pub use filter::{
     chebyshev_filter, chebyshev_filter_mixed, chebyshev_filter_with, FilterBounds, FilterError,
     FilterExec,

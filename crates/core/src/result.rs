@@ -141,11 +141,7 @@ impl fmt::Display for RecoveryEventKind {
                 write!(f, "agreed dead rank(s): {dead:?}")
             }
             RecoveryEventKind::GridShrunk { from, to } => {
-                write!(
-                    f,
-                    "grid shrunk {}x{} -> {}x{}",
-                    from.p, from.q, to.p, to.q
-                )
+                write!(f, "grid shrunk {}x{} -> {}x{}", from.p, from.q, to.p, to.q)
             }
             RecoveryEventKind::CheckpointSaved { iter, locked } => {
                 write!(f, "checkpoint saved at iter {iter} ({locked} locked)")

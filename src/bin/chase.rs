@@ -523,11 +523,9 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
             .as_ref()
             .is_some_and(|s| !s.crash_sites().is_empty())
     {
-        return Err(
-            "--plan-db is not supported with a rank-crash fault plan \
+        return Err("--plan-db is not supported with a rank-crash fault plan \
              (the measured plan is keyed to the pre-crash grid)"
-                .into(),
-        );
+            .into());
     }
     let tune_opts = plan_db_path.as_ref().map(|_| TuneOptions {
         deterministic: flags.contains_key("deterministic"),

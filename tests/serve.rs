@@ -531,9 +531,8 @@ fn rank_crash_job_retries_on_shrunk_pool() {
         "recovery log must show the shrink"
     );
     assert!(
-        out.recovery.any(
-            |k| matches!(k, RecoveryEventKind::CheckpointRestored { iter, .. } if *iter > 0)
-        ),
+        out.recovery
+            .any(|k| matches!(k, RecoveryEventKind::CheckpointRestored { iter, .. } if *iter > 0)),
         "with checkpoint_every=1 the resume must restore a real snapshot"
     );
     assert_eq!(c1.warm, WarmKind::FallbackCold, "warm start must degrade");
