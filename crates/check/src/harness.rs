@@ -204,7 +204,7 @@ where
     let out = run_grid(case.shape(), |ctx| {
         // Install the seam before the first collective (the bounds
         // estimate) so the entire solve is gated, and the canary so the
-        // planted bug covers blocking, nonblocking and hop folds alike.
+        // planted bug covers blocking and nonblocking folds alike.
         ctx.set_schedule_policy(policy.clone());
         ctx.set_order_sensitive_fold(canary);
         let rec = Arc::new(TraceRecorder::new(ctx.world_rank()));

@@ -1,11 +1,10 @@
 //! `chase-check`: schedule-exploration + differential-oracle harness.
 //!
 //! The whole correctness story of the in-process SPMD runtime rests on one
-//! claim: *the schedule does not matter*. Whichever rank reaches a
-//! rendezvous first, whichever nonblocking post completes first, whichever
-//! hop of a topology-aware collective delivers first — every reduction
-//! folds in member-index order, so the solver's results are bitwise
-//! identical across all of them. Production code relies on that invariant;
+//! claim: *the schedule does not matter*. Whichever rank deposits first
+//! into a blocking collective, whichever nonblocking post completes first
+//! — every reduction folds in member-index order, so the solver's results
+//! are bitwise identical across all of them. Production code relies on that invariant;
 //! until this crate, nothing *explored* the schedule space to test it.
 //!
 //! Three layers:

@@ -246,6 +246,15 @@ mod tests {
     }
 
     #[test]
+    fn retired_hop_stream_is_rejected() {
+        // Hop schedules no longer move data, so `hop` is not a schedule
+        // stream any more: an old witness naming it fails to parse.
+        let text = witness().to_string().replace("stream=nb", "stream=hop");
+        let err = Witness::from_str(&text).unwrap_err();
+        assert!(err.contains("unknown stream \"hop\""), "{err}");
+    }
+
+    #[test]
     fn comments_and_blank_lines_are_ignored() {
         let text = format!("\n# comment\n\n{}\n# trailing\n", witness());
         assert_eq!(text.parse::<Witness>().unwrap(), witness());

@@ -2,8 +2,10 @@
 //!
 //! Each communicator is a set of ranks sharing a rendezvous slot. Collectives
 //! are SPMD: every member calls the same operation in the same order, exactly
-//! as with MPI/NCCL communicators. The implementation exchanges data through
-//! shared memory; what distinguishes the MPI and NCCL builds of ChASE is not
+//! as with MPI/NCCL communicators. One engine moves every collective's data,
+//! blocking or nonblocking, through shared memory; what distinguishes the
+//! MPI and NCCL builds of ChASE — and the flat and hop-scheduled
+//! collectives — is not
 //! *whether* the data arrives but what staging and latency costs the paper's
 //! machine charges for it — those are recorded in the [`Ledger`] by callers
 //! and priced by `chase-perfmodel`.
@@ -14,7 +16,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -93,7 +95,7 @@ impl From<WaitTimeout> for CommError {
     }
 }
 
-/// Panic payload raised out of a *blocking* collective (or `recv`) when the
+/// Panic payload raised out of a *blocking* collective when the
 /// grid's dead-rank board shows a crashed member. Blocking collectives
 /// return results by value and are called from deep inside the solver's
 /// numeric kernels, so the abort travels as a typed panic that the elastic
@@ -223,39 +225,32 @@ impl_reduce_add!(f32, f64, u32, u64, usize, i64);
 impl_reduce_add!(num_complex::Complex<f32>, num_complex::Complex<f64>);
 
 type Payload = Box<dyn Any + Send>;
-type Result_ = Arc<dyn Any + Send + Sync>;
 
-struct SlotState {
-    /// Index of the collective currently being gathered.
-    epoch: u64,
-    arrived: usize,
-    taken: usize,
-    payloads: Vec<Option<Payload>>,
-    /// Member indices in deposit order for the current epoch. Feeds the
-    /// schedule-exploration gate and the order-sensitive-fold canary; reset
-    /// when the epoch drains.
-    arrival: Vec<usize>,
-    result: Option<Result_>,
-}
+/// Key of one op on the engine: the schedule stream it belongs to plus the
+/// stream-local per-rank sequence number. Blocking calls and nonblocking
+/// posts keep independent counters, so a rank may hold nonblocking ops in
+/// flight across any number of blocking calls on the same communicator.
+type OpKey = (ScheduleStream, u64);
 
-/// Key of one point-to-point channel: `(from, to, tag)`. Each channel is a
-/// FIFO queue, so matched send/recv pairs never reorder within a channel.
-type MailKey = (usize, usize, u64);
+/// Panic message of a blocking collective whose members disagree on the
+/// payload type.
+const TYPE_MISMATCH: &str = "collective type mismatch across ranks";
 
-/// One in-flight nonblocking collective. Unlike the blocking epoch machinery,
-/// ops are keyed by a per-rank sequence number, so a rank can post op `s+1`
-/// before anyone has waited on op `s` — the double-buffered filter pipeline
-/// depends on never blocking at post time.
-struct NbOp {
+/// One in-flight collective. Ops are keyed, not epoch-sequenced, so a rank
+/// can post op `s+1` before anyone has waited on op `s` — the
+/// double-buffered filter pipeline depends on never blocking at post time.
+struct Op {
     arrived: usize,
     taken: usize,
     payloads: Vec<Option<Payload>>,
     /// Member indices in deposit order (schedule gate + fold canary).
     arrival: Vec<usize>,
     result: Option<Payload>,
+    /// Per-member contribution lengths of a gather, in member order.
+    counts: Vec<usize>,
 }
 
-impl NbOp {
+impl Op {
     fn new(members: usize) -> Self {
         Self {
             arrived: 0,
@@ -263,26 +258,88 @@ impl NbOp {
             payloads: (0..members).map(|_| None).collect(),
             arrival: Vec::new(),
             result: None,
+            counts: Vec::new(),
         }
+    }
+
+    /// Sum-allreduce combine: fold every payload into the first fold
+    /// source's box, which becomes the result — no extra buffer, no copy.
+    /// The runtime's one order-sensitive reduction: member-index order is
+    /// the bitwise-determinism invariant, and the mutation canary
+    /// (`arrival_order`) deliberately folds in deposit order instead.
+    fn fold_sum<T: Reduce>(&mut self, engine: &mut Engine, arrival_order: bool) {
+        let order: Vec<usize> = if arrival_order {
+            self.arrival.clone()
+        } else {
+            (0..self.payloads.len()).collect()
+        };
+        let mut result = self.payloads[order[0]].take().expect("missing payload");
+        {
+            let out = result.downcast_mut::<Vec<T>>().expect(TYPE_MISMATCH);
+            for &m in &order[1..] {
+                let v = self.payloads[m]
+                    .as_ref()
+                    .expect("missing payload")
+                    .downcast_ref::<Vec<T>>()
+                    .expect(TYPE_MISMATCH);
+                assert_eq!(v.len(), out.len(), "allreduce length mismatch");
+                for (a, b) in out.iter_mut().zip(v) {
+                    a.reduce(b);
+                }
+            }
+        }
+        for b in self.payloads.iter_mut().filter_map(Option::take) {
+            engine.checkin(b);
+        }
+        self.result = Some(result);
+    }
+
+    /// Broadcast combine: the root's staging box *is* the result.
+    fn take_root(&mut self, root: usize) {
+        self.result = Some(self.payloads[root].take().expect("root did not post"));
+    }
+
+    /// Allgather combine: member 0's staging box grows into the member-order
+    /// concatenation in place; later contributions append and recycle.
+    fn concat<T: Clone + Send + 'static>(&mut self, engine: &mut Engine) {
+        let mut result = self.payloads[0].take().expect("missing payload");
+        self.counts.clear();
+        {
+            let out = result.downcast_mut::<Vec<T>>().expect(TYPE_MISMATCH);
+            self.counts.push(out.len());
+            for p in &self.payloads[1..] {
+                let v = p
+                    .as_ref()
+                    .expect("missing payload")
+                    .downcast_ref::<Vec<T>>()
+                    .expect(TYPE_MISMATCH);
+                self.counts.push(v.len());
+                out.extend_from_slice(v);
+            }
+        }
+        for b in self.payloads.iter_mut().filter_map(Option::take) {
+            engine.checkin(b);
+        }
+        self.result = Some(result);
     }
 }
 
-/// Shared state of the nonblocking engine: in-flight ops plus a pool of
+/// Shared state of the collective engine: in-flight ops plus a pool of
 /// recycled type-erased staging buffers. Boxes circulate whole (never
 /// unboxed), so a steady-state collective performs zero heap allocations —
 /// the discipline NCCL enforces with its persistent communicator buffers.
-struct NbShared {
-    ops: HashMap<u64, NbOp>,
+struct Engine {
+    ops: HashMap<OpKey, Op>,
     pool: Vec<Payload>,
     /// Retired op skeletons (payload slot vectors) awaiting reuse.
-    free_ops: Vec<NbOp>,
+    free_ops: Vec<Op>,
     /// Staging buffers newly allocated because the pool had no match.
     fresh_allocs: u64,
     /// Staging buffers served from the pool.
     pool_hits: u64,
 }
 
-impl NbShared {
+impl Engine {
     /// Take a pooled `Vec<T>` box (cleared, capacity retained) or allocate.
     fn checkout<T: Send + 'static>(&mut self) -> Payload {
         if let Some(pos) = self.pool.iter().position(|p| p.is::<Vec<T>>()) {
@@ -302,7 +359,7 @@ impl NbShared {
     /// pipeline — the resize is a no-op and the caller gets a writable
     /// buffer for free (no zeroing, no copy).
     ///
-    /// [`checkout`]: NbShared::checkout
+    /// [`checkout`]: Engine::checkout
     fn checkout_len<T: Clone + Default + Send + 'static>(&mut self, len: usize) -> Payload {
         let exact = self
             .pool
@@ -326,18 +383,18 @@ impl NbShared {
         self.pool.push(b);
     }
 
-    /// Fetch the in-flight op `op_id`, or start one from the recycled-op
+    /// Fetch the in-flight op `key`, or start one from the recycled-op
     /// stock. Ownership moves out of the map so the caller can mutate the op
     /// and the pool without borrow conflicts; it must be re-inserted.
-    fn take_op(&mut self, op_id: u64, members: usize) -> NbOp {
+    fn take_op(&mut self, key: OpKey, members: usize) -> Op {
         self.ops
-            .remove(&op_id)
-            .unwrap_or_else(|| self.free_ops.pop().unwrap_or_else(|| NbOp::new(members)))
+            .remove(&key)
+            .unwrap_or_else(|| self.free_ops.pop().unwrap_or_else(|| Op::new(members)))
     }
 
     /// Recycle a fully-drained op (all payload boxes already back in the
     /// pool or moved into the result).
-    fn retire(&mut self, mut op: NbOp) {
+    fn retire(&mut self, mut op: Op) {
         if let Some(r) = op.result.take() {
             self.checkin(r);
         }
@@ -349,7 +406,7 @@ impl NbShared {
     }
 }
 
-/// Buffer-pool accounting of one communicator's nonblocking engine.
+/// Buffer-pool accounting of one communicator's collective engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NbPoolStats {
     /// Staging/result buffers freshly heap-allocated (pool misses). Constant
@@ -363,8 +420,8 @@ pub struct NbPoolStats {
     pub in_flight: usize,
 }
 
-/// State of the dead-rank agreement round running on one slot. Unlike the
-/// epoch machinery it tolerates members that never show up: completion is
+/// State of the dead-rank agreement round running on one slot. Unlike a
+/// collective it tolerates members that never show up: completion is
 /// "every member has either joined or is on the dead board", so survivors
 /// converge even while the collectives they abandoned stay wedged.
 struct AgreeState {
@@ -395,18 +452,12 @@ pub struct ShrunkSlots {
 /// Shared rendezvous point for one communicator.
 pub struct Slot {
     members: usize,
-    state: Mutex<SlotState>,
+    /// The collective engine: blocking calls and nonblocking posts alike
+    /// deposit here and wait on `cv`.
+    engine: Mutex<Engine>,
     cv: Condvar,
-    /// Point-to-point mailboxes, independent of the collective epoch
-    /// machinery so sends never block behind an in-flight collective.
-    mail: Mutex<HashMap<MailKey, VecDeque<Payload>>>,
-    mail_cv: Condvar,
-    /// Nonblocking collective engine, independent of both of the above so
-    /// blocking and nonblocking traffic interleave freely.
-    nb: Mutex<NbShared>,
-    nb_cv: Condvar,
-    /// Dead-rank agreement round, independent of every other engine so it
-    /// completes while collectives are wedged on a crashed member.
+    /// Dead-rank agreement round, independent of the collective engine so
+    /// it completes while collectives are wedged on a crashed member.
     agree: Mutex<AgreeState>,
     agree_cv: Condvar,
     /// Registry of shrunk-grid slot sets keyed by the agreed dead mask.
@@ -417,25 +468,14 @@ impl Slot {
     pub fn new(members: usize) -> Arc<Self> {
         Arc::new(Self {
             members,
-            state: Mutex::new(SlotState {
-                epoch: 0,
-                arrived: 0,
-                taken: 0,
-                payloads: (0..members).map(|_| None).collect(),
-                arrival: Vec::new(),
-                result: None,
-            }),
-            cv: Condvar::new(),
-            mail: Mutex::new(HashMap::new()),
-            mail_cv: Condvar::new(),
-            nb: Mutex::new(NbShared {
+            engine: Mutex::new(Engine {
                 ops: HashMap::new(),
                 pool: Vec::new(),
                 free_ops: Vec::new(),
                 fresh_allocs: 0,
                 pool_hits: 0,
             }),
-            nb_cv: Condvar::new(),
+            cv: Condvar::new(),
             agree: Mutex::new(AgreeState {
                 joined: 0,
                 suspects: 0,
@@ -464,8 +504,6 @@ impl Slot {
     /// marked so detection does not wait out a full poll slice).
     fn notify_all_engines(&self) {
         self.cv.notify_all();
-        self.mail_cv.notify_all();
-        self.nb_cv.notify_all();
         self.agree_cv.notify_all();
     }
 }
@@ -509,17 +547,16 @@ impl DeathHandle {
 pub struct Communicator {
     slot: Arc<Slot>,
     my_index: usize,
-    epoch: Cell<u64>,
-    /// World rank of each member, in member-index order. Topology-aware
-    /// collectives use these to find the physical link a hop crosses; a
-    /// plain communicator labels members with their own indices.
+    /// World rank of each member, in member-index order. The hop-schedule
+    /// cost plan (`chase-topo`) uses these to find the physical link a hop
+    /// crosses; a plain communicator labels members with their own indices.
     labels: Arc<Vec<usize>>,
-    /// Per-rank counter of topology-aware collective operations, used to
-    /// derive unique p2p tags per operation (SPMD keeps it in sync).
-    op_seq: Cell<u64>,
-    /// Per-rank counter of nonblocking collective posts. SPMD discipline
-    /// (every member posts the same nonblocking ops in the same order) keeps
-    /// it consistent across ranks, making it the op key.
+    /// Per-rank counter of blocking collective calls — the op key of the
+    /// [`ScheduleStream::Blocking`] stream. SPMD discipline (every member
+    /// makes the same calls in the same order) keeps it consistent.
+    blk_seq: Cell<u64>,
+    /// Per-rank counter of nonblocking collective posts — the op key of the
+    /// [`ScheduleStream::Nonblocking`] stream.
     nb_seq: Cell<u64>,
     /// Watchdog for `Request::wait`, in milliseconds.
     wait_timeout_ms: Cell<u64>,
@@ -572,9 +609,8 @@ impl Communicator {
         Self {
             slot,
             my_index,
-            epoch: Cell::new(0),
             labels,
-            op_seq: Cell::new(0),
+            blk_seq: Cell::new(0),
             nb_seq: Cell::new(0),
             wait_timeout_ms: Cell::new(DEFAULT_WAIT_TIMEOUT_MS),
             fault_hook: RefCell::new(None),
@@ -595,18 +631,6 @@ impl Communicator {
     /// death-handle wiring).
     pub(crate) fn slot(&self) -> Arc<Slot> {
         self.slot.clone()
-    }
-
-    /// Abort (via [`RankDeadPanic`]) if the dead board shows a crash. Called
-    /// from every blocking wait loop: once any rank of the grid is dead the
-    /// whole attempt is doomed — every survivor must unwind to the elastic
-    /// driver rather than wait out a collective that can never complete.
-    fn check_alive(&self) {
-        if self.board.any_dead() {
-            std::panic::panic_any(RankDeadPanic {
-                dead: self.board.dead_ranks(),
-            });
-        }
     }
 
     /// Set the `wait()` watchdog for this handle, in milliseconds.
@@ -640,13 +664,6 @@ impl Communicator {
         *self.schedule.borrow_mut() = policy.map(|p| (p, scope));
     }
 
-    /// Currently installed schedule policy and scope, if any. Used by the
-    /// topology-aware collectives (`chase-topo`) to consult the same policy
-    /// at hop granularity.
-    pub fn schedule_policy(&self) -> Option<(Arc<dyn SchedulePolicy>, CommScope)> {
-        self.schedule.borrow().clone()
-    }
-
     /// Enable the order-sensitive-fold mutation canary on this handle:
     /// reductions fold in arrival order instead of member-index order,
     /// deliberately breaking the bitwise schedule-independence invariant.
@@ -654,11 +671,6 @@ impl Communicator {
     /// set outside the harness.
     pub fn set_order_sensitive_fold(&self, on: bool) {
         self.order_canary.set(on);
-    }
-
-    /// True when the mutation canary is armed on this handle.
-    pub fn order_sensitive_fold(&self) -> bool {
-        self.order_canary.get()
     }
 
     /// This rank's forced deposit slot for op (`stream`, `op`, `seq`), or
@@ -761,143 +773,148 @@ impl Communicator {
         self.labels[idx]
     }
 
-    /// Fresh tag namespace for one topology-aware collective. All members
-    /// must call this the same number of times in the same order (SPMD).
-    pub fn next_op_seq(&self) -> u64 {
-        let s = self.op_seq.get();
-        self.op_seq.set(s + 1);
-        s
-    }
-
     /// Trivial communicator containing only this rank (serial builds).
     pub fn solo() -> Self {
         Self::new(Slot::new(1), 0)
     }
 
-    // ---- point-to-point -------------------------------------------------
+    // ---- the collective engine ------------------------------------------
+    //
+    // Every collective — blocking call or nonblocking post — runs on one
+    // engine: each member deposits its contribution under the op's key, the
+    // last depositor combines the payloads, and every member then takes the
+    // result. Blocking calls are a deposit followed at once by a wait;
+    // nonblocking posts return a [`Request`] and wait later. Ops are keyed
+    // by `(stream, per-rank sequence number)`, so posting never blocks
+    // behind an earlier in-flight op and a rank may hold several
+    // outstanding requests on one communicator. SPMD contract: every member
+    // issues the same collectives in the same order, and every request must
+    // eventually be waited.
 
-    /// Deposit `data` into the `(self, to, tag)` channel. Non-blocking
-    /// (buffered send, like `MPI_Isend` into an eager buffer).
-    pub fn send<T: Send + 'static>(&self, to: usize, tag: u64, data: Vec<T>) {
-        assert!(to < self.size(), "send target out of range");
-        assert_ne!(to, self.my_index, "self-send is not supported");
-        let mut mail = self.slot.mail.lock();
-        mail.entry((self.my_index, to, tag))
-            .or_default()
-            .push_back(Box::new(data));
-        self.slot.mail_cv.notify_all();
+    /// Copy `data` into a pooled staging box.
+    fn stage<T: Clone + Send + 'static>(&self, data: &[T]) -> Payload {
+        let mut b = self.slot.engine.lock().checkout::<T>();
+        b.downcast_mut::<Vec<T>>().unwrap().extend_from_slice(data);
+        b
     }
 
-    /// Block until a message from `from` with `tag` is available and return
-    /// it. Messages on one channel arrive in send order.
-    pub fn recv<T: Send + 'static>(&self, from: usize, tag: u64) -> Vec<T> {
-        assert!(from < self.size(), "recv source out of range");
-        assert_ne!(from, self.my_index, "self-recv is not supported");
-        let key = (from, self.my_index, tag);
-        let mut mail = self.slot.mail.lock();
-        loop {
-            if let Some(q) = mail.get_mut(&key) {
-                if let Some(p) = q.pop_front() {
-                    if q.is_empty() {
-                        mail.remove(&key);
-                    }
-                    return *p.downcast::<Vec<T>>().expect("p2p payload type mismatch");
-                }
-            }
-            self.check_alive();
-            self.slot
-                .mail_cv
-                .wait_for(&mut mail, Duration::from_millis(DEATH_POLL_MS));
-        }
-    }
-
-    /// Buffered exchange: send to `to`, then receive from `from`. Safe in
-    /// lockstep exchanges (both sides send before either blocks).
-    pub fn sendrecv<T: Send + 'static>(
+    /// Deposit this member's contribution to op `key` (`None` for a bcast
+    /// non-root or a barrier). The last depositor runs `combine`, which must
+    /// set the op's result, and wakes the waiters. Under a schedule policy
+    /// the deposit is held until the forced arrival order reaches this
+    /// member's slot.
+    fn deposit(
         &self,
-        to: usize,
-        from: usize,
-        tag: u64,
-        data: Vec<T>,
-    ) -> Vec<T> {
-        self.send(to, tag, data);
-        self.recv(from, tag)
+        key: OpKey,
+        op_name: &'static str,
+        mine: Option<Payload>,
+        combine: impl FnOnce(&mut Op, &mut Engine),
+    ) {
+        let gate = self.schedule_slot(key.0, op_name, key.1);
+        let slot = &*self.slot;
+        let mut engine = slot.engine.lock();
+        if let Some(my_slot) = gate {
+            self.gate_wait(
+                &mut engine,
+                &slot.cv,
+                my_slot,
+                |s| s.ops.get(&key).map_or(0, |o| o.arrived),
+                op_name,
+                key.1,
+            );
+        }
+        let mut op = engine.take_op(key, slot.members);
+        debug_assert!(op.payloads[self.my_index].is_none(), "double post");
+        op.payloads[self.my_index] = mine;
+        op.arrival.push(self.my_index);
+        op.arrived += 1;
+        let complete = op.arrived == slot.members;
+        if complete {
+            combine(&mut op, &mut engine);
+        }
+        // Completion wakes the waiters; a gated deposit additionally wakes
+        // the member holding the next slot.
+        if complete || gate.is_some() {
+            slot.cv.notify_all();
+        }
+        engine.ops.insert(key, op);
     }
 
-    /// Generic rendezvous: every member contributes `input`; the last to
-    /// arrive runs `combine` over the payloads (ordered by member index,
-    /// with the deposit order passed alongside for the fold canary) and the
-    /// result is shared with everyone.
-    fn collective<I, O, F>(&self, op: &'static str, input: I, combine: F) -> Arc<O>
-    where
-        I: Send + 'static,
-        O: Send + Sync + 'static,
-        F: FnOnce(Vec<I>, &[usize]) -> O,
-    {
-        let my_epoch = self.epoch.get();
-        self.epoch.set(my_epoch + 1);
-        let gate = self.schedule_slot(ScheduleStream::Blocking, op, my_epoch);
+    /// Block until op `key` has a result, hand it (with a gather's
+    /// per-member counts) to `read` under the lock, and drain the op (last
+    /// taker recycles every buffer). Gives up with a typed [`CommError`]
+    /// instead of hanging or panicking: a crash on the dead-rank board
+    /// yields `RankDead` (the op can never complete), the watchdog — armed
+    /// only when `watchdog` is set — yields `Timeout`, and an op the engine
+    /// has no usable record of (never posted, dropped by a fault hook, or
+    /// carrying a mismatched payload type) yields `UnknownOp`. After any
+    /// error the op (and partial payloads) stays parked in the map; the
+    /// caller is expected to abort the computation, not retry the wait.
+    fn complete<T: Send + 'static>(
+        &self,
+        key: OpKey,
+        watchdog: bool,
+        read: impl FnOnce(&Vec<T>, &[usize]),
+    ) -> Result<(), CommError> {
         let slot = &*self.slot;
-        let mut st = slot.state.lock();
-
-        // Wait for the previous collective on this slot to fully drain.
-        // Death-aware: a crashed member wedges the epoch machinery forever,
-        // so every parked member re-checks the board and unwinds instead.
-        while st.epoch != my_epoch {
-            self.check_alive();
-            slot.cv
-                .wait_for(&mut st, Duration::from_millis(DEATH_POLL_MS));
-        }
-
-        // Schedule exploration: hold the deposit until the forced arrival
-        // order reaches this member's slot.
-        if let Some(my_slot) = gate {
-            self.gate_wait(&mut st, &slot.cv, my_slot, |s| s.arrived, op, my_epoch);
-        }
-
-        debug_assert!(st.payloads[self.my_index].is_none(), "double arrival");
-        st.payloads[self.my_index] = Some(Box::new(input));
-        st.arrival.push(self.my_index);
-        st.arrived += 1;
-        if gate.is_some() {
-            // Wake members gated on the next slot (SPMD: if this handle is
-            // gated, every member is).
-            slot.cv.notify_all();
-        }
-
-        if st.arrived == slot.members {
-            let inputs: Vec<I> = st
-                .payloads
-                .iter_mut()
-                .map(|p| *p.take().expect("missing payload").downcast::<I>().unwrap())
-                .collect();
-            let arrival = std::mem::take(&mut st.arrival);
-            st.result = Some(Arc::new(combine(inputs, &arrival)));
-            slot.cv.notify_all();
-        } else {
-            while st.result.is_none() {
-                self.check_alive();
-                slot.cv
-                    .wait_for(&mut st, Duration::from_millis(DEATH_POLL_MS));
+        let op_id = key.1;
+        let timeout_ms = self.wait_timeout_ms.get();
+        let deadline = Instant::now() + Duration::from_millis(timeout_ms);
+        let mut engine = slot.engine.lock();
+        while engine.ops.get(&key).is_none_or(|op| op.result.is_none()) {
+            if self.board.any_dead() {
+                return Err(CommError::RankDead {
+                    op_id,
+                    dead: self.board.dead_ranks(),
+                });
             }
+            let mut slice = Duration::from_millis(DEATH_POLL_MS);
+            if watchdog {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(CommError::Timeout(WaitTimeout { op_id, timeout_ms }));
+                }
+                slice = slice.min(deadline - now);
+            }
+            slot.cv.wait_for(&mut engine, slice);
         }
+        let Some(mut op) = engine.ops.remove(&key) else {
+            return Err(CommError::UnknownOp { op_id });
+        };
+        let Some(r) = op.result.as_ref().and_then(|r| r.downcast_ref::<Vec<T>>()) else {
+            engine.ops.insert(key, op);
+            return Err(CommError::UnknownOp { op_id });
+        };
+        read(r, &op.counts);
+        op.taken += 1;
+        if op.taken == slot.members {
+            engine.retire(op);
+        } else {
+            engine.ops.insert(key, op);
+        }
+        Ok(())
+    }
 
-        let out = st
-            .result
-            .as_ref()
-            .unwrap()
-            .clone()
-            .downcast::<O>()
-            .expect("collective type mismatch across ranks");
-        st.taken += 1;
-        if st.taken == slot.members {
-            st.result = None;
-            st.arrived = 0;
-            st.taken = 0;
-            st.epoch += 1;
-            slot.cv.notify_all();
+    // ---- blocking collectives -------------------------------------------
+    //
+    // A post on the engine followed by a wait with no watchdog and no
+    // fault-hook consult. A dead member unwinds the caller with a typed
+    // [`RankDeadPanic`]; members disagreeing on the payload type panic.
+
+    fn next_blk_key(&self) -> OpKey {
+        let s = self.blk_seq.get();
+        self.blk_seq.set(s + 1);
+        (ScheduleStream::Blocking, s)
+    }
+
+    /// Wait out blocking op `key` (no watchdog), turning engine errors into
+    /// the blocking API's panics.
+    fn wait_blocking<T: Send + 'static>(&self, key: OpKey, read: impl FnOnce(&Vec<T>, &[usize])) {
+        match self.complete(key, false, read) {
+            Ok(()) => {}
+            Err(CommError::RankDead { dead, .. }) => std::panic::panic_any(RankDeadPanic { dead }),
+            Err(e) => panic!("{TYPE_MISMATCH}: {e}"),
         }
-        out
     }
 
     /// Element-wise sum-allreduce, in place. All members must pass buffers of
@@ -907,27 +924,12 @@ impl Communicator {
         if self.size() == 1 {
             return;
         }
-        let mine: Vec<T> = buf.to_vec();
+        let key = self.next_blk_key();
         let canary = self.order_canary.get();
-        let summed = self.collective("allreduce", mine, move |inputs, arrival| {
-            // Member-index fold order is the bitwise-determinism invariant;
-            // the canary deliberately folds in arrival order instead.
-            let order: Vec<usize> = if canary {
-                arrival.to_vec()
-            } else {
-                (0..inputs.len()).collect()
-            };
-            let mut acc = inputs[order[0]].clone();
-            for &m in &order[1..] {
-                let contrib = &inputs[m];
-                assert_eq!(contrib.len(), acc.len(), "allreduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(contrib) {
-                    a.reduce(b);
-                }
-            }
-            acc
+        self.deposit(key, "allreduce", Some(self.stage(buf)), |op, engine| {
+            op.fold_sum::<T>(engine, canary)
         });
-        buf.clone_from_slice(&summed);
+        self.wait_blocking::<T>(key, |r, _| buf.clone_from_slice(r));
     }
 
     /// Broadcast `buf` from `root` to every member, in place.
@@ -937,37 +939,41 @@ impl Communicator {
         if self.size() == 1 {
             return;
         }
-        let mine: Option<Vec<T>> = if self.my_index == root {
-            Some(buf.to_vec())
-        } else {
-            None
-        };
-        let shared = self.collective("bcast", mine, move |mut inputs, _arrival| {
-            inputs[root].take().expect("root did not contribute")
+        let key = self.next_blk_key();
+        let mine = (self.my_index == root).then(|| self.stage(buf));
+        self.deposit(key, "bcast", mine, |op, _| op.take_root(root));
+        self.wait_blocking::<T>(key, |r, _| {
+            if self.my_index != root {
+                assert_eq!(buf.len(), r.len(), "bcast length mismatch");
+                buf.clone_from_slice(r);
+            }
         });
-        if self.my_index != root {
-            assert_eq!(buf.len(), shared.len(), "bcast length mismatch");
-            buf.clone_from_slice(&shared);
-        }
     }
 
     /// Gather every member's contribution, concatenated in member order,
     /// replicated on all ranks. Contributions may differ in length.
     pub fn allgather<T: Clone + Send + Sync + 'static>(&self, mine: &[T]) -> Vec<T> {
+        self.allgather_counts(mine).0
+    }
+
+    /// [`Communicator::allgather`] that also returns each member's
+    /// contribution length, in member order — what a ragged gather's hop
+    /// plan needs, with no extra collective.
+    pub fn allgather_counts<T: Clone + Send + Sync + 'static>(
+        &self,
+        mine: &[T],
+    ) -> (Vec<T>, Vec<usize>) {
         self.trace_collective("allgather", std::mem::size_of_val(mine) as u64);
-        let mine: Vec<T> = mine.to_vec();
         if self.size() == 1 {
-            return mine;
+            return (mine.to_vec(), vec![mine.len()]);
         }
-        let all = self.collective("allgather", mine, |inputs, _arrival| {
-            let total: usize = inputs.iter().map(Vec::len).sum();
-            let mut out = Vec::with_capacity(total);
-            for v in inputs {
-                out.extend(v);
-            }
-            out
+        let key = self.next_blk_key();
+        self.deposit(key, "allgather", Some(self.stage(mine)), |op, engine| {
+            op.concat::<T>(engine)
         });
-        (*all).clone()
+        let mut out = (Vec::new(), Vec::new());
+        self.wait_blocking::<T>(key, |r, counts| out = (r.clone(), counts.to_vec()));
+        out
     }
 
     /// Synchronize all members.
@@ -976,7 +982,11 @@ impl Communicator {
         if self.size() == 1 {
             return;
         }
-        let _ = self.collective("barrier", (), |_, _| ());
+        let key = self.next_blk_key();
+        self.deposit(key, "barrier", None, |op, engine| {
+            op.result = Some(engine.checkout::<()>())
+        });
+        self.wait_blocking::<()>(key, |_, _| {});
     }
 
     /// Sum-allreduce of a single value.
@@ -989,14 +999,9 @@ impl Communicator {
 
     // ---- nonblocking collectives ---------------------------------------
     //
-    // The `i*` variants return immediately with a [`Request`]; the data
-    // exchange and the combine run as members arrive, and `wait()` blocks
-    // only until the result of *that* op is ready. Ops are keyed by a
-    // per-rank sequence number, so posting never blocks behind an earlier
-    // in-flight op (unlike the blocking epoch rendezvous) — a rank may hold
-    // several outstanding requests on one communicator. SPMD contract:
-    // every member posts the same nonblocking ops in the same order, and
-    // every request must eventually be waited.
+    // The `i*` variants consult the fault hook, deposit, and return a
+    // [`Request`] at once; `wait()` blocks only until the result of *that*
+    // op is ready, under the communicator's watchdog.
 
     fn next_nb_seq(&self) -> u64 {
         let s = self.nb_seq.get();
@@ -1004,14 +1009,32 @@ impl Communicator {
         s
     }
 
-    /// Buffer-pool statistics of this communicator's nonblocking engine.
+    /// Consult the fault hook for nonblocking op `seq`: `false` when the
+    /// post must be dropped (the op id stays consumed, so later posts stay
+    /// aligned across ranks), after sleeping out any injected delay.
+    fn deliver(&self, op: &'static str, seq: u64) -> bool {
+        match self.post_action(op, seq) {
+            PostAction::Drop => false,
+            PostAction::Delay { ms } => {
+                std::thread::sleep(Duration::from_millis(ms));
+                true
+            }
+            PostAction::Deliver => true,
+        }
+    }
+
+    /// Buffer-pool statistics of this communicator's collective engine.
     pub fn nb_pool_stats(&self) -> NbPoolStats {
-        let nb = self.slot.nb.lock();
+        let engine = self.slot.engine.lock();
         NbPoolStats {
-            fresh_allocs: nb.fresh_allocs,
-            pool_hits: nb.pool_hits,
-            pooled: nb.pool.len(),
-            in_flight: nb.ops.len(),
+            fresh_allocs: engine.fresh_allocs,
+            pool_hits: engine.pool_hits,
+            pooled: engine.pool.len(),
+            in_flight: engine
+                .ops
+                .keys()
+                .filter(|k| k.0 == ScheduleStream::Nonblocking)
+                .count(),
         }
     }
 
@@ -1021,7 +1044,7 @@ impl Communicator {
     /// buffer of the same length) this costs no allocation and no zeroing.
     /// Dropping an unposted `SendBuf` returns the buffer to the pool.
     pub fn nb_staging<T: Clone + Default + Send + 'static>(&self, len: usize) -> SendBuf<'_, T> {
-        let buf = self.slot.nb.lock().checkout_len::<T>(len);
+        let buf = self.slot.engine.lock().checkout_len::<T>(len);
         SendBuf {
             comm: self,
             buf: Some(buf),
@@ -1038,30 +1061,13 @@ impl Communicator {
         let len = mine.downcast_ref::<Vec<T>>().unwrap().len();
         let op_id = self.next_nb_seq();
         self.trace_collective("iallreduce", (len * std::mem::size_of::<T>()) as u64);
-        match self.post_action("iallreduce", op_id) {
-            PostAction::Drop => {
-                // Stall: recycle the staging buffer, never deposit it. The
-                // op id is consumed so later posts stay aligned across ranks.
-                self.slot.nb.lock().checkin(mine);
-                return Request {
-                    comm: self,
-                    op_id,
-                    len,
-                    done: false,
-                    _t: std::marker::PhantomData,
-                };
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
+        if self.deliver("iallreduce", op_id) {
+            self.post_allreduce::<T>(op_id, mine);
+        } else {
+            // Stall: recycle the staging buffer, never deposit it.
+            self.slot.engine.lock().checkin(mine);
         }
-        self.post_allreduce_payload::<T>(op_id, mine);
-        Request {
-            comm: self,
-            op_id,
-            len,
-            done: false,
-            _t: std::marker::PhantomData,
-        }
+        Request::new(self, op_id, len)
     }
 
     /// Post a nonblocking element-wise sum-allreduce of `buf`. The returned
@@ -1071,97 +1077,20 @@ impl Communicator {
     pub fn iallreduce_sum<T: Reduce>(&self, buf: &[T]) -> Request<'_, T> {
         let op_id = self.next_nb_seq();
         self.trace_collective("iallreduce", std::mem::size_of_val(buf) as u64);
-        match self.post_action("iallreduce", op_id) {
-            PostAction::Drop => {
-                return Request {
-                    comm: self,
-                    op_id,
-                    len: buf.len(),
-                    done: false,
-                    _t: std::marker::PhantomData,
-                }
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
+        if self.deliver("iallreduce", op_id) {
+            self.post_allreduce::<T>(op_id, self.stage(buf));
         }
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        let mut mine = nb.checkout::<T>();
-        mine.downcast_mut::<Vec<T>>()
-            .unwrap()
-            .extend_from_slice(buf);
-        drop(nb);
-        self.post_allreduce_payload::<T>(op_id, mine);
-        Request {
-            comm: self,
-            op_id,
-            len: buf.len(),
-            done: false,
-            _t: std::marker::PhantomData,
-        }
+        Request::new(self, op_id, buf.len())
     }
 
-    /// Deposit one rank's allreduce contribution; the last depositor folds
-    /// all payloads in member-index order (into member 0's buffer, which
-    /// becomes the result) and wakes the waiters.
-    fn post_allreduce_payload<T: Reduce>(&self, op_id: u64, mine: Payload) {
-        let gate = self.schedule_slot(ScheduleStream::Nonblocking, "iallreduce", op_id);
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        if let Some(my_slot) = gate {
-            self.gate_wait(
-                &mut nb,
-                &slot.nb_cv,
-                my_slot,
-                |s| s.ops.get(&op_id).map_or(0, |o| o.arrived),
-                "iallreduce",
-                op_id,
-            );
-        }
-        let mut op = nb.take_op(op_id, slot.members);
-        debug_assert!(op.payloads[self.my_index].is_none(), "double post");
-        op.payloads[self.my_index] = Some(mine);
-        op.arrival.push(self.my_index);
-        op.arrived += 1;
-        if op.arrived == slot.members {
-            // Fold in place into the first fold source's staging box — it
-            // becomes the result, so the reduction costs no extra buffer
-            // and no copy. Accumulation runs in member-index order, so the
-            // bits match `allreduce_sum` exactly; the canary deliberately
-            // folds in arrival order instead.
-            let order: Vec<usize> = if self.order_canary.get() {
-                op.arrival.clone()
-            } else {
-                (0..slot.members).collect()
-            };
-            let mut result = op.payloads[order[0]].take().unwrap();
-            {
-                let out = result.downcast_mut::<Vec<T>>().unwrap();
-                for &m in &order[1..] {
-                    let v = op.payloads[m]
-                        .as_ref()
-                        .unwrap()
-                        .downcast_ref::<Vec<T>>()
-                        .unwrap();
-                    assert_eq!(v.len(), out.len(), "iallreduce length mismatch");
-                    for (a, b) in out.iter_mut().zip(v) {
-                        a.reduce(b);
-                    }
-                }
-            }
-            for p in op.payloads.iter_mut() {
-                if let Some(b) = p.take() {
-                    nb.checkin(b);
-                }
-            }
-            op.result = Some(result);
-        }
-        // Completion wakes the waiters; a gated deposit additionally wakes
-        // the member holding the next slot.
-        if op.arrived == slot.members || gate.is_some() {
-            slot.nb_cv.notify_all();
-        }
-        nb.ops.insert(op_id, op);
+    fn post_allreduce<T: Reduce>(&self, op_id: u64, mine: Payload) {
+        let canary = self.order_canary.get();
+        self.deposit(
+            (ScheduleStream::Nonblocking, op_id),
+            "iallreduce",
+            Some(mine),
+            |op, engine| op.fold_sum::<T>(engine, canary),
+        );
     }
 
     /// Post a nonblocking broadcast of `root`'s `buf`. Non-root callers pass
@@ -1174,58 +1103,16 @@ impl Communicator {
         assert!(root < self.size());
         let op_id = self.next_nb_seq();
         self.trace_collective("ibcast", std::mem::size_of_val(buf) as u64);
-        match self.post_action("ibcast", op_id) {
-            PostAction::Drop => {
-                return Request {
-                    comm: self,
-                    op_id,
-                    len: buf.len(),
-                    done: false,
-                    _t: std::marker::PhantomData,
-                }
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
-        }
-        let gate = self.schedule_slot(ScheduleStream::Nonblocking, "ibcast", op_id);
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        if let Some(my_slot) = gate {
-            self.gate_wait(
-                &mut nb,
-                &slot.nb_cv,
-                my_slot,
-                |s| s.ops.get(&op_id).map_or(0, |o| o.arrived),
+        if self.deliver("ibcast", op_id) {
+            let mine = (self.my_index == root).then(|| self.stage(buf));
+            self.deposit(
+                (ScheduleStream::Nonblocking, op_id),
                 "ibcast",
-                op_id,
+                mine,
+                |op, _| op.take_root(root),
             );
         }
-        let mut op = nb.take_op(op_id, slot.members);
-        if self.my_index == root {
-            let mut mine = nb.checkout::<T>();
-            mine.downcast_mut::<Vec<T>>()
-                .unwrap()
-                .extend_from_slice(buf);
-            op.payloads[root] = Some(mine);
-        }
-        op.arrival.push(self.my_index);
-        op.arrived += 1;
-        if op.arrived == slot.members {
-            // The root's staging box *is* the result — no copy, no churn.
-            op.result = Some(op.payloads[root].take().expect("root did not post"));
-        }
-        if op.arrived == slot.members || gate.is_some() {
-            slot.nb_cv.notify_all();
-        }
-        nb.ops.insert(op_id, op);
-        drop(nb);
-        Request {
-            comm: self,
-            op_id,
-            len: buf.len(),
-            done: false,
-            _t: std::marker::PhantomData,
-        }
+        Request::new(self, op_id, buf.len())
     }
 
     /// Post a nonblocking allgather of `mine`. Contributions may be ragged;
@@ -1234,131 +1121,20 @@ impl Communicator {
     pub fn iallgather<T: Clone + Send + Sync + 'static>(&self, mine: &[T]) -> GatherRequest<'_, T> {
         let op_id = self.next_nb_seq();
         self.trace_collective("iallgather", std::mem::size_of_val(mine) as u64);
-        match self.post_action("iallgather", op_id) {
-            PostAction::Drop => {
-                return GatherRequest {
-                    comm: self,
-                    op_id,
-                    done: false,
-                    _t: std::marker::PhantomData,
-                }
-            }
-            PostAction::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            PostAction::Deliver => {}
-        }
-        let gate = self.schedule_slot(ScheduleStream::Nonblocking, "iallgather", op_id);
-        let slot = &*self.slot;
-        let mut nb = slot.nb.lock();
-        if let Some(my_slot) = gate {
-            self.gate_wait(
-                &mut nb,
-                &slot.nb_cv,
-                my_slot,
-                |s| s.ops.get(&op_id).map_or(0, |o| o.arrived),
+        if self.deliver("iallgather", op_id) {
+            self.deposit(
+                (ScheduleStream::Nonblocking, op_id),
                 "iallgather",
-                op_id,
+                Some(self.stage(mine)),
+                |op, engine| op.concat::<T>(engine),
             );
         }
-        let mut contrib = nb.checkout::<T>();
-        contrib
-            .downcast_mut::<Vec<T>>()
-            .unwrap()
-            .extend_from_slice(mine);
-        let mut op = nb.take_op(op_id, slot.members);
-        debug_assert!(op.payloads[self.my_index].is_none(), "double post");
-        op.payloads[self.my_index] = Some(contrib);
-        op.arrival.push(self.my_index);
-        op.arrived += 1;
-        if op.arrived == slot.members {
-            // Member 0's staging box grows into the concatenation in place;
-            // later contributions append in member order and recycle.
-            let mut result = op.payloads[0].take().unwrap();
-            {
-                let out = result.downcast_mut::<Vec<T>>().unwrap();
-                for p in &op.payloads[1..] {
-                    out.extend_from_slice(p.as_ref().unwrap().downcast_ref::<Vec<T>>().unwrap());
-                }
-            }
-            for p in op.payloads.iter_mut().skip(1) {
-                let b = p.take().unwrap();
-                nb.checkin(b);
-            }
-            op.result = Some(result);
-        }
-        if op.arrived == slot.members || gate.is_some() {
-            slot.nb_cv.notify_all();
-        }
-        nb.ops.insert(op_id, op);
-        drop(nb);
         GatherRequest {
             comm: self,
             op_id,
             done: false,
             _t: std::marker::PhantomData,
         }
-    }
-
-    /// Block until op `op_id` has a result, hand it to `read` under the
-    /// lock, and drain the op (last taker recycles every buffer). Gives up
-    /// with a typed [`CommError`] instead of hanging or panicking: the
-    /// watchdog expiring yields `Timeout`, a crash on the dead-rank board
-    /// yields `RankDead` (the op can never complete), and an op the engine
-    /// has no usable record of — never posted, dropped by a fault hook, or
-    /// carrying a mismatched payload type — yields `UnknownOp`. After any
-    /// error the op (and partial payloads) stays parked in the map; the
-    /// caller is expected to abort the computation, not retry the wait.
-    fn nb_wait_with<T: Send + 'static>(
-        &self,
-        op_id: u64,
-        read: impl FnOnce(&Vec<T>),
-    ) -> Result<(), CommError> {
-        let slot = &*self.slot;
-        let timeout_ms = self.wait_timeout_ms.get();
-        let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-        let mut nb = slot.nb.lock();
-        while nb.ops.get(&op_id).is_none_or(|op| op.result.is_none()) {
-            if self.board.any_dead() {
-                return Err(CommError::RankDead {
-                    op_id,
-                    dead: self.board.dead_ranks(),
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout(WaitTimeout { op_id, timeout_ms }));
-            }
-            let slice = (deadline - now).min(Duration::from_millis(DEATH_POLL_MS));
-            slot.nb_cv.wait_for(&mut nb, slice);
-        }
-        // The loop guarantees presence-with-result on the happy path, but a
-        // fault hook or a type-confused harness can still leave the engine
-        // without a readable payload — degrade to a typed error, never a
-        // panic that poisons the whole thread pool.
-        let Some(op) = nb.ops.get(&op_id) else {
-            return Err(CommError::UnknownOp { op_id });
-        };
-        if op
-            .result
-            .as_ref()
-            .is_none_or(|r| r.downcast_ref::<Vec<T>>().is_none())
-        {
-            return Err(CommError::UnknownOp { op_id });
-        }
-        let mut op = nb.ops.remove(&op_id).expect("op vanished under the lock");
-        read(
-            op.result
-                .as_ref()
-                .unwrap()
-                .downcast_ref::<Vec<T>>()
-                .unwrap(),
-        );
-        op.taken += 1;
-        if op.taken == slot.members {
-            nb.retire(op);
-        } else {
-            nb.ops.insert(op_id, op);
-        }
-        Ok(())
     }
 
     // ---- dead-rank agreement -------------------------------------------
@@ -1485,7 +1261,7 @@ impl<T: Send + 'static> Drop for SendBuf<'_, T> {
     fn drop(&mut self) {
         // Unposted staging goes straight back to the pool.
         if let Some(b) = self.buf.take() {
-            self.comm.slot.nb.lock().checkin(b);
+            self.comm.slot.engine.lock().checkin(b);
         }
     }
 }
@@ -1501,7 +1277,17 @@ pub struct Request<'c, T: Send + 'static> {
     _t: std::marker::PhantomData<T>,
 }
 
-impl<T: Send + 'static> Request<'_, T> {
+impl<'c, T: Send + 'static> Request<'c, T> {
+    fn new(comm: &'c Communicator, op_id: u64, len: usize) -> Self {
+        Self {
+            comm,
+            op_id,
+            len,
+            done: false,
+            _t: std::marker::PhantomData,
+        }
+    }
+
     /// Block until the collective completes and copy the result into `out`
     /// (length must match the posted buffer). Returns a typed [`CommError`]
     /// if some member never posts within the communicator's watchdog, a
@@ -1515,7 +1301,8 @@ impl<T: Send + 'static> Request<'_, T> {
         // Resolved either way: a timed-out request must not panic on drop —
         // the typed error *is* the resolution.
         self.done = true;
-        self.comm.nb_wait_with::<T>(self.op_id, |r| {
+        let key = (ScheduleStream::Nonblocking, self.op_id);
+        self.comm.complete(key, true, |r: &Vec<T>, _| {
             assert_eq!(r.len(), out.len(), "posted/result length mismatch");
             out.clone_from_slice(r);
         })
@@ -1551,7 +1338,8 @@ impl<T: Send + 'static> GatherRequest<'_, T> {
         T: Clone,
     {
         self.done = true;
-        self.comm.nb_wait_with::<T>(self.op_id, |r| {
+        let key = (ScheduleStream::Nonblocking, self.op_id);
+        self.comm.complete(key, true, |r: &Vec<T>, _| {
             out.clear();
             out.extend_from_slice(r);
         })
@@ -1644,8 +1432,8 @@ mod tests {
 
     #[test]
     fn repeated_collectives_stay_ordered() {
-        // 100 back-to-back collectives: the epoch machinery must never mix
-        // rounds even when threads race.
+        // 100 back-to-back collectives: the op keys must never mix rounds
+        // even when threads race.
         let out = run_spmd(4, |c| {
             let mut acc = 0.0f64;
             for round in 0..100 {
@@ -1692,72 +1480,6 @@ mod tests {
     }
 
     #[test]
-    fn p2p_ring_pass_left() {
-        let out = run_spmd(4, |c| {
-            let next = (c.rank() + 1) % 4;
-            let prev = (c.rank() + 3) % 4;
-            c.send(next, 0, vec![c.rank() as u64]);
-            c.recv::<u64>(prev, 0)[0]
-        });
-        assert_eq!(out, vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    fn p2p_channels_keep_fifo_order() {
-        let out = run_spmd(2, |c| {
-            if c.rank() == 0 {
-                for i in 0..50u64 {
-                    c.send(1, 7, vec![i]);
-                }
-                Vec::new()
-            } else {
-                (0..50).map(|_| c.recv::<u64>(0, 7)[0]).collect::<Vec<_>>()
-            }
-        });
-        assert_eq!(out[1], (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn p2p_tags_do_not_cross_talk() {
-        let out = run_spmd(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 1, vec![10u64]);
-                c.send(1, 2, vec![20u64]);
-                0
-            } else {
-                // Receive in the opposite order of the sends.
-                let b = c.recv::<u64>(0, 2)[0];
-                let a = c.recv::<u64>(0, 1)[0];
-                a * 100 + b
-            }
-        });
-        assert_eq!(out[1], 1020);
-    }
-
-    #[test]
-    fn p2p_sendrecv_exchange() {
-        let out = run_spmd(2, |c| {
-            let other = 1 - c.rank();
-            c.sendrecv(other, other, 3, vec![c.rank() as u64 + 1])[0]
-        });
-        assert_eq!(out, vec![2, 1]);
-    }
-
-    #[test]
-    fn p2p_interleaves_with_collectives() {
-        let out = run_spmd(3, |c| {
-            let next = (c.rank() + 1) % 3;
-            let prev = (c.rank() + 2) % 3;
-            c.send(next, 0, vec![c.rank() as u64]);
-            let mut v = [1u64];
-            c.allreduce_sum(&mut v);
-            let got = c.recv::<u64>(prev, 0)[0];
-            got + v[0]
-        });
-        assert_eq!(out, vec![2 + 3, 3, 1 + 3]);
-    }
-
-    #[test]
     fn default_labels_are_identity() {
         let c = Communicator::solo();
         assert_eq!(c.labels(), &[0]);
@@ -1765,13 +1487,6 @@ mod tests {
         let c = Communicator::with_labels(slot, 1, Arc::new(vec![4, 9, 14]));
         assert_eq!(c.label_of(1), 9);
         assert_eq!(c.labels(), &[4, 9, 14]);
-    }
-
-    #[test]
-    fn op_seq_increments() {
-        let c = Communicator::solo();
-        assert_eq!(c.next_op_seq(), 0);
-        assert_eq!(c.next_op_seq(), 1);
     }
 
     #[test]
@@ -1795,7 +1510,7 @@ mod tests {
     #[test]
     fn two_requests_in_flight_do_not_block_posts() {
         // The double-buffered pipeline posts op k+1 before waiting op k;
-        // with the blocking epoch machinery this would deadlock.
+        // with an epoch-sequenced rendezvous this would deadlock.
         let out = run_spmd(3, |c| {
             let a = vec![c.rank() as f64; 4];
             let b = vec![(c.rank() * 10) as f64; 2];
@@ -1839,21 +1554,21 @@ mod tests {
     #[test]
     fn nonblocking_interleaves_with_blocking_on_same_communicator() {
         // Stress: a nonblocking op stays in flight across blocking
-        // collectives and p2p traffic on the same communicator. The engines
-        // are independent, so nothing may deadlock or cross-talk.
+        // collectives on the same communicator. Blocking and nonblocking
+        // ops are keyed on separate streams, so nothing may deadlock or
+        // cross-talk.
         let out = run_spmd(4, |c| {
             let mut acc = 0.0f64;
-            for round in 0..50 {
+            for round in 0..50u64 {
                 let posted = vec![c.rank() as f64 + round as f64; 3];
                 let req = c.iallreduce_sum(&posted);
                 // Blocking traffic while the request is in flight.
                 let mut v = [1.0f64];
                 c.allreduce_sum(&mut v);
-                let next = (c.rank() + 1) % 4;
-                let prev = (c.rank() + 3) % 4;
-                c.send(next, round, vec![round]);
+                let mut b = [if c.rank() == 3 { round } else { 0 }];
+                c.bcast(&mut b, 3);
                 c.barrier();
-                assert_eq!(c.recv::<u64>(prev, round)[0], round);
+                assert_eq!(b[0], round);
                 let mut summed = vec![0.0f64; 3];
                 req.wait(&mut summed).unwrap();
                 assert_eq!(v[0], 4.0);
@@ -2062,6 +1777,35 @@ mod tests {
             .downcast_ref::<RankDeadPanic>()
             .expect("typed RankDeadPanic payload");
         assert_eq!(p.dead, vec![1]);
+    }
+
+    #[test]
+    fn blocking_collective_has_no_watchdog() {
+        // A member arriving after several multiples of the wait timeout must
+        // still complete the blocking allreduce: the watchdog guards
+        // nonblocking waits only, never a blocking call.
+        let out = run_spmd(3, |c| {
+            c.set_wait_timeout_ms(20);
+            if c.rank() == 2 {
+                thread::sleep(Duration::from_millis(150));
+            }
+            let mut v = [c.rank() as f64 + 1.0];
+            c.allreduce_sum(&mut v);
+            c.barrier();
+            v[0]
+        });
+        assert_eq!(out, vec![6.0; 3]);
+    }
+
+    #[test]
+    fn allgather_counts_reports_ragged_lengths() {
+        let out = run_spmd(3, |c| {
+            c.allgather_counts(&vec![c.rank() as u64; 2 * c.rank()])
+        });
+        for (all, counts) in out {
+            assert_eq!(all, vec![1, 1, 2, 2, 2, 2]);
+            assert_eq!(counts, vec![0, 2, 4]);
+        }
     }
 
     #[test]

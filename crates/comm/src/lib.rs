@@ -3,9 +3,10 @@
 //! In-process SPMD runtime standing in for the MPI + NCCL layer of the
 //! distributed ChASE library (see DESIGN.md, substitution table).
 //!
-//! * [`collective`] — rendezvous-based AllReduce / Bcast / AllGather /
-//!   Barrier over thread "ranks", semantically matching the collectives used
-//!   in Algorithm 2 of the paper.
+//! * [`collective`] — one collective engine behind the blocking AllReduce /
+//!   Bcast / AllGather / Barrier and their nonblocking `i*` twins over
+//!   thread "ranks", semantically matching the collectives used in
+//!   Algorithm 2 of the paper.
 //! * [`grid`] — the 2D rank grid with row and column communicators, plus the
 //!   [`grid::run_grid`] SPMD runner.
 //! * [`ledger`] — per-rank event log of compute kernels, collectives and

@@ -13,7 +13,7 @@
 //! bits.
 //!
 //! Enforcement is *deposit gating*: before a rank deposits its payload it
-//! waits (on the communicator's existing condition variables) until the
+//! waits (on the collective engine's condition variable) until the
 //! number of earlier deposits equals its assigned slot in the permutation.
 //! Because the permutation is a pure function of the schedule point and is
 //! computed identically on every rank (SPMD), no extra shared state is
@@ -24,20 +24,17 @@
 
 use crate::trace_hook::CommScope;
 
-/// Which engine of the communicator a schedule point belongs to. The
-/// blocking rendezvous and the nonblocking engine keep independent
-/// sequence counters, so a point is only unique within its stream.
+/// Which op stream of the collective engine a schedule point belongs to.
+/// Blocking calls and nonblocking posts keep independent sequence
+/// counters, so a point is only unique within its stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScheduleStream {
     /// Blocking collectives (`allreduce_sum`, `bcast`, `allgather`,
-    /// `barrier`); `seq` is the slot epoch.
+    /// `barrier`); `seq` is the per-rank blocking call counter.
     Blocking,
     /// Nonblocking posts (`iallreduce_sum`, `ibcast`, `iallgather`);
     /// `seq` is the per-rank nonblocking op id.
     Nonblocking,
-    /// Hop-granular delivery inside a topology-aware collective
-    /// (`chase-topo`); `seq` is the op's p2p tag namespace.
-    Hop,
 }
 
 impl ScheduleStream {
@@ -46,7 +43,6 @@ impl ScheduleStream {
         match self {
             ScheduleStream::Blocking => "blk",
             ScheduleStream::Nonblocking => "nb",
-            ScheduleStream::Hop => "hop",
         }
     }
 
@@ -55,7 +51,6 @@ impl ScheduleStream {
         match s {
             "blk" => Some(ScheduleStream::Blocking),
             "nb" => Some(ScheduleStream::Nonblocking),
-            "hop" => Some(ScheduleStream::Hop),
             _ => None,
         }
     }
@@ -140,14 +135,12 @@ mod tests {
 
     #[test]
     fn stream_tokens_round_trip() {
-        for s in [
-            ScheduleStream::Blocking,
-            ScheduleStream::Nonblocking,
-            ScheduleStream::Hop,
-        ] {
+        for s in [ScheduleStream::Blocking, ScheduleStream::Nonblocking] {
             assert_eq!(ScheduleStream::from_token(s.token()), Some(s));
         }
         assert_eq!(ScheduleStream::from_token("bogus"), None);
+        // Retired with the hop schedules' data plane.
+        assert_eq!(ScheduleStream::from_token("hop"), None);
     }
 
     #[test]

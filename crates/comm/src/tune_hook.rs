@@ -36,7 +36,7 @@ impl TuneOp {
 }
 
 /// Hop schedule a measured plan selects, mirroring `chase_topo::exec::Algo`
-/// plus the flat rendezvous reference (a measured trial can conclude that
+/// plus the flat reference (a measured trial can conclude that
 /// *no* hop schedule beats the flat collective for a given size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TuneAlgo {

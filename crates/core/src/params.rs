@@ -92,10 +92,10 @@ pub struct Params {
     /// Also compute the *exact* condition number of the filtered block each
     /// iteration (expensive; drives Fig. 1).
     pub track_true_cond: bool,
-    /// Collective execution path: the flat rendezvous reference, a forced
-    /// topology-aware hop schedule, or the NCCL-style tuner. Results are
-    /// bitwise identical across all settings; only the priced hop structure
-    /// changes.
+    /// Collective pricing: the flat reference, a forced topology-aware hop
+    /// schedule, or the NCCL-style tuner. Data always moves on the one
+    /// collective engine, so results are bitwise identical across all
+    /// settings; only the priced hop structure changes.
     pub collective: CollectiveAlgo,
     /// Run the Chebyshev filter on the overlapped pipeline: panel-chunked
     /// HEMMs double-buffered against nonblocking allreduces. Bitwise

@@ -16,13 +16,12 @@
 //! * `Nccl` collectives record only the collective itself.
 
 use chase_comm::{
-    now_us, CommError, Communicator, EventKind, LinkClass, RankCtx, Reduce, Region, Request,
-    TuneAlgo, TuneOp,
+    now_us, CommError, Communicator, EventKind, RankCtx, Reduce, Region, Request, TuneAlgo, TuneOp,
 };
 use chase_faults::FaultPlan;
 use chase_linalg::matrix::{ColsMut, ColsRef};
 use chase_linalg::{Matrix, NotPositiveDefinite, Scalar};
-use chase_topo::{exec, CollOp, Tuner, NOMINAL_GEMM_FLOPS};
+use chase_topo::{hop_plan, CollOp, HopOp, Tuner, NOMINAL_GEMM_FLOPS};
 use std::sync::Arc;
 
 pub use chase_topo::{Algo, CollectiveAlgo, Topology};
@@ -87,11 +86,12 @@ impl<'a> Device<'a> {
         )
     }
 
-    /// A device routing its collectives through the `chase-topo` hop
-    /// schedules (unless `collective` is [`CollectiveAlgo::Flat`]). The
-    /// topo path emits chunk-granular `P2p` events over the physical links
-    /// of `topo` instead of one flat collective event; staging copies are
-    /// recorded the same way on both paths.
+    /// A device pricing its collectives with the `chase-topo` hop
+    /// schedules (unless `collective` is [`CollectiveAlgo::Flat`]). Data
+    /// always moves on the one collective engine; a hop-scheduled call
+    /// records the planned chunk-granular `P2p` events over the physical
+    /// links of `topo` instead of one flat collective event. Staging copies
+    /// are recorded the same way on both paths.
     pub fn with_collectives(
         ctx: &'a RankCtx,
         backend: Backend,
@@ -297,6 +297,21 @@ impl<'a> Device<'a> {
         }
     }
 
+    /// Record this rank's planned `P2p` hops for one collective call of `T`
+    /// elements, in place of the flat collective event; `false` (nothing
+    /// recorded) when the call resolves to the flat path. `total` is the
+    /// SPMD-uniform message size the schedule is chosen on.
+    fn record_hops<T>(&self, comm: &Communicator, op: HopOp<'_>, total: u64) -> bool {
+        let Some((algo, chunk)) = self.schedule(op.class(), total, comm) else {
+            return false;
+        };
+        let es = size_of::<T>() as u64;
+        for (bytes, link) in hop_plan(op, algo, es, chunk, comm.rank(), comm.labels(), &self.topo) {
+            self.ctx.record(EventKind::P2p { bytes, link });
+        }
+        true
+    }
+
     /// Sum-allreduce of a device buffer over `comm`.
     pub fn allreduce_sum<T: Scalar + Reduce>(&self, comm: &Communicator, buf: &mut [T]) {
         if let Some(plan) = &self.faults {
@@ -304,17 +319,11 @@ impl<'a> Device<'a> {
         }
         self.stage::<T>(buf.len(), true);
         let bytes = size_of_val(buf) as u64;
-        if let Some((algo, chunk)) = self.schedule(CollOp::AllReduce, bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            exec::allreduce(comm, &self.topo, buf, algo, chunk, &mut sink);
-        } else {
-            self.ctx.record(EventKind::AllReduce {
-                bytes,
-                members: comm.size() as u64,
-            });
-            comm.allreduce_sum(buf);
+        if !self.record_hops::<T>(comm, HopOp::AllReduce { len: buf.len() }, bytes) {
+            let members = comm.size() as u64;
+            self.ctx.record(EventKind::AllReduce { bytes, members });
         }
+        comm.allreduce_sum(buf);
     }
 
     /// Sum-allreduce of real workspace (residual norms, Frobenius norms).
@@ -322,22 +331,7 @@ impl<'a> Device<'a> {
     where
         T::Real: Reduce,
     {
-        if let Some(plan) = &self.faults {
-            plan.corrupt_payload("allreduce", buf);
-        }
-        self.stage::<T::Real>(buf.len(), true);
-        let bytes = size_of_val(buf) as u64;
-        if let Some((algo, chunk)) = self.schedule(CollOp::AllReduce, bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            exec::allreduce(comm, &self.topo, buf, algo, chunk, &mut sink);
-        } else {
-            self.ctx.record(EventKind::AllReduce {
-                bytes,
-                members: comm.size() as u64,
-            });
-            comm.allreduce_sum(buf);
-        }
+        self.allreduce_sum(comm, buf);
     }
 
     // ---- nonblocking collectives and overlap windows ---------------------
@@ -365,12 +359,9 @@ impl<'a> Device<'a> {
     /// wait, bracketing the in-flight region exactly as a host-staged
     /// `MPI_Iallreduce` would.
     ///
-    /// The nonblocking path always moves data over the flat transport: the
-    /// `chase-topo` hop schedules are blocking rendezvous programs and
-    /// cannot run concurrently with compute on the posting thread. Results
-    /// are bitwise identical either way (both fold contributions in
-    /// member-index order), so the knob only affects the *pricing* of the
-    /// movement, which the spanned event captures.
+    /// The nonblocking path records the flat collective event whatever the
+    /// collective knob: the spanned event is what prices its overlap with
+    /// compute.
     pub fn iallreduce_sum<'c, T: Scalar + Reduce>(
         &self,
         comm: &'c Communicator,
@@ -497,17 +488,15 @@ impl<'a> Device<'a> {
             }
         }
         let bytes = size_of_val(buf) as u64;
-        if let Some((algo, chunk)) = self.schedule(CollOp::Bcast, bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            exec::bcast(comm, &self.topo, buf, root, algo, chunk, &mut sink);
-        } else {
-            self.ctx.record(EventKind::Bcast {
-                bytes,
-                members: comm.size() as u64,
-            });
-            comm.bcast(buf, root);
+        let op = HopOp::Bcast {
+            len: buf.len(),
+            root,
+        };
+        if !self.record_hops::<T>(comm, op, bytes) {
+            let members = comm.size() as u64;
+            self.ctx.record(EventKind::Bcast { bytes, members });
         }
+        comm.bcast(buf, root);
     }
 
     /// Allgather device blocks (used by the legacy LMS layout to replicate
@@ -515,37 +504,23 @@ impl<'a> Device<'a> {
     pub fn allgather<T: Scalar>(&self, comm: &Communicator, mine: &[T]) -> Vec<T> {
         self.stage::<T>(mine.len(), false);
         // Blocks may be ragged (sizes differ by one under the block
-        // distribution), so the tuner input is the *global* gathered size —
-        // known a priori in the real library, agreed here through a
-        // metadata exchange that records no events.
-        let total_bytes = if comm.size() > 1 && self.collective != CollectiveAlgo::Flat {
-            comm.allreduce_scalar(mine.len() as u64) * size_of::<T>() as u64
-        } else {
-            0
-        };
-        if let Some((algo, chunk)) = self.schedule(CollOp::AllGather, total_bytes, comm) {
-            let ctx = self.ctx;
-            let mut sink = |b: u64, link: LinkClass| ctx.record(EventKind::P2p { bytes: b, link });
-            let out = exec::allgather(comm, &self.topo, mine, algo, chunk, &mut sink);
-            if self.backend.stages_through_host() {
-                self.ctx.record(EventKind::H2D {
-                    bytes: size_of_val(out.as_slice()) as u64,
-                });
-            }
-            out
-        } else {
-            let out = comm.allgather(mine);
-            if self.backend.stages_through_host() {
-                self.ctx.record(EventKind::H2D {
-                    bytes: size_of_val(out.as_slice()) as u64,
-                });
-            }
+        // distribution): the schedule is chosen on the *global* gathered
+        // size and planned on the per-member counts the gather reports.
+        let (out, counts) = comm.allgather_counts(mine);
+        let total = size_of_val(out.as_slice()) as u64;
+        // Hops go out before the gathered block is uploaded; the flat event
+        // is recorded at completion.
+        let planned = self.record_hops::<T>(comm, HopOp::AllGather { counts: &counts }, total);
+        if self.backend.stages_through_host() {
+            self.ctx.record(EventKind::H2D { bytes: total });
+        }
+        if !planned {
             self.ctx.record(EventKind::AllGather {
                 bytes_per_rank: size_of_val(mine) as u64,
                 members: comm.size() as u64,
             });
-            out
         }
+        out
     }
 }
 

@@ -88,7 +88,9 @@ fn bad(msg: &str) -> io::Error {
 
 /// Load a matrix of either scalar type.
 pub fn load(path: impl AsRef<Path>) -> io::Result<LoadedMatrix> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -103,29 +105,43 @@ pub fn load(path: impl AsRef<Path>) -> io::Result<LoadedMatrix> {
     let count = rows
         .checked_mul(cols)
         .ok_or_else(|| bad("dimension overflow"))?;
+    // Size the payload against the bytes actually present before
+    // allocating: a header must never be able to request more memory than
+    // its file can fill.
+    let elem_bytes: u64 = match tag[0] {
+        0 => 8,
+        1 => 16,
+        t => return Err(bad(&format!("unknown scalar tag {t}"))),
+    };
+    let header_bytes = (MAGIC.len() + 1 + 16) as u64;
+    let left = file_len.saturating_sub(header_bytes);
+    if (count as u64)
+        .checked_mul(elem_bytes)
+        .is_none_or(|need| need > left)
+    {
+        return Err(bad(&format!(
+            "header declares {rows}x{cols} but only {left} payload bytes follow"
+        )));
+    }
     let f64_at = move |r: &mut BufReader<File>| -> io::Result<f64> {
         let mut b = [0u8; 8];
         r.read_exact(&mut b)?;
         Ok(f64::from_le_bytes(b))
     };
-    match tag[0] {
-        0 => {
-            let mut data = Vec::with_capacity(count);
-            for _ in 0..count {
-                data.push(f64_at(&mut r)?);
-            }
-            Ok(LoadedMatrix::F64(Matrix::from_vec(rows, cols, data)))
+    if tag[0] == 0 {
+        let mut data = Vec::with_capacity(count);
+        for _ in 0..count {
+            data.push(f64_at(&mut r)?);
         }
-        1 => {
-            let mut data = Vec::with_capacity(count);
-            for _ in 0..count {
-                let re = f64_at(&mut r)?;
-                let im = f64_at(&mut r)?;
-                data.push(C64::new(re, im));
-            }
-            Ok(LoadedMatrix::C64(Matrix::from_vec(rows, cols, data)))
+        Ok(LoadedMatrix::F64(Matrix::from_vec(rows, cols, data)))
+    } else {
+        let mut data = Vec::with_capacity(count);
+        for _ in 0..count {
+            let re = f64_at(&mut r)?;
+            let im = f64_at(&mut r)?;
+            data.push(C64::new(re, im));
         }
-        t => Err(bad(&format!("unknown scalar tag {t}"))),
+        Ok(LoadedMatrix::C64(Matrix::from_vec(rows, cols, data)))
     }
 }
 
@@ -160,6 +176,30 @@ mod tests {
             LoadedMatrix::F64(back) => assert_eq!(back.max_abs_diff(&m), 0.0),
             _ => panic!("wrong scalar"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn oversized_header_is_rejected_before_allocating() {
+        // A bare 25-byte header declaring 2^28 x 2^28 f64 (2 EiB) must come
+        // back as InvalidData, not abort on the allocation.
+        let path = std::env::temp_dir().join("chase_io_test_oversized.chasemat");
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(0);
+        bytes.extend_from_slice(&(1u64 << 28).to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 28).to_le_bytes());
+        assert_eq!(bytes.len(), 25);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // One element short of a 2x2 C64 payload is rejected the same way.
+        let mut short = MAGIC.to_vec();
+        short.push(1);
+        short.extend_from_slice(&2u64.to_le_bytes());
+        short.extend_from_slice(&2u64.to_le_bytes());
+        short.extend_from_slice(&[0u8; 48]);
+        std::fs::write(&path, &short).unwrap();
+        assert_eq!(load(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

@@ -53,6 +53,17 @@ fn take<T: std::str::FromStr>(
     }
 }
 
+/// [`take`] for float fields: a non-finite value (`nan`, `inf`) is a parse
+/// error, never a job that climbs the recovery ladder before failing.
+fn take_finite(kv: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    let v: f64 = take(kv, key, Some(default))?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(format!("{key}: must be finite, got '{}'", kv[key]))
+    }
+}
+
 fn parse_grid(s: &str) -> Result<GridShape, String> {
     let (p, q) = s.split_once('x').ok_or("grid must look like 2x2")?;
     Ok(GridShape::new(
@@ -152,7 +163,7 @@ fn parse_job_line(
                 spectrum,
                 seed: take(kv, "gseed", Some(42))?,
                 perturb_steps: take(kv, "perturb", Some(0))?,
-                eps: take(kv, "eps", Some(1e-3))?,
+                eps: take_finite(kv, "eps", 1e-3)?,
             })
         }
     };
@@ -167,7 +178,7 @@ fn parse_job_line(
         ));
     }
     let mut params = Params::new(nev, nex);
-    params.tol = take(kv, "tol", Some(1e-10))?;
+    params.tol = take_finite(kv, "tol", 1e-10)?;
     params.seed = take(kv, "seed", Some(params.seed))?;
     if let Some(spec) = kv.get("inject") {
         params.inject = Some(
@@ -246,6 +257,16 @@ pub fn validate_line(line: &str) -> Result<JobSpec<C64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_finite_floats_are_rejected_at_parse_time() {
+        let err = parse_workload("gen name=a n=48 spectrum=dft nev=4 eps=nan").unwrap_err();
+        assert!(err.contains("eps: must be finite"), "{err}");
+        let err = parse_workload("gen name=b n=48 spectrum=dft nev=4 tol=inf").unwrap_err();
+        assert!(err.contains("tol: must be finite"), "{err}");
+        assert!(parse_workload("gen name=c n=48 spectrum=dft nev=4 tol=-inf").is_err());
+        assert!(parse_workload("gen name=d n=48 spectrum=dft nev=4 eps=1e-3 tol=1e-9").is_ok());
+    }
 
     #[test]
     fn parses_gen_lines_with_sessions() {

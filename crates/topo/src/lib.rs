@@ -1,27 +1,27 @@
 //! `chase-topo`: topology-aware collective algorithms with per-hop pricing.
 //!
-//! The flat rendezvous collective in `chase-comm` moves data in one shot and
-//! records one event per call — fine for counting volumes, blind to *how*
-//! the wire protocol actually moves bytes. This crate adds the layer NCCL
-//! occupies in the real library (paper, Section 3.2):
+//! The collective engine in `chase-comm` moves data in one shot; a flat
+//! collective records one event per call — fine for counting volumes, blind
+//! to *how* the wire protocol actually moves bytes. This crate adds the cost
+//! layer NCCL's algorithm selection occupies in the real library (paper,
+//! Section 3.2):
 //!
 //! * [`topology`] — a hierarchical machine model (JUWELS-Booster-like:
 //!   4-GPU NVLink nodes joined by 4x HDR-200 InfiniBand) assigning every
 //!   rank pair a link class with alpha-beta parameters for both the
 //!   device-direct (NCCL) and host-staged (MPI) data paths.
 //! * [`exec`] — ring, binomial-tree and recursive-doubling schedules for
-//!   allreduce / bcast / allgather, built on the point-to-point primitives
-//!   of [`chase_comm::Communicator`]. Reductions fold origin-tagged
-//!   contributions in member-index order, so every schedule is bitwise
-//!   identical to the flat reference; each hop emits chunk-granular `P2p`
-//!   ledger events over its physical link.
+//!   allreduce / bcast / allgather as a pure cost plan: [`hop_plan`] emits
+//!   the chunk-granular `(bytes, link)` hops one rank sends, without moving
+//!   data. The engine still moves the data, so every schedule is bitwise
+//!   identical to flat by construction.
 //! * [`cost`] — analytic alpha-beta costs of those schedules (lockstep
 //!   steps priced at their slowest link, fill-drain chunk pipelining).
 //! * [`tuner`] — an NCCL-style selector minimizing the analytic cost over
 //!   (algorithm, chunk size) per call, given message size, communicator
 //!   span and transport.
 //!
-//! `chase-device` routes its collectives through this crate when a solver
+//! `chase-device` prices its collectives through this crate when a solver
 //! run asks for a non-flat [`CollectiveAlgo`].
 
 pub mod cost;
@@ -30,14 +30,14 @@ pub mod topology;
 pub mod tuner;
 
 pub use cost::{collective_cost, CollOp};
-pub use exec::{allgather, allreduce, bcast, Algo, HopSink};
+pub use exec::{hop_plan, Algo, HopOp};
 pub use topology::{CommSpan, LinkParams, Topology};
 pub use tuner::{Choice, Tuner, CHUNK_MENU, NOMINAL_GEMM_FLOPS, PANEL_MENU};
 
 /// Solver-facing knob: which collective execution path to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectiveAlgo {
-    /// The original flat rendezvous path (one event per collective).
+    /// The flat path (one collective event per call).
     #[default]
     Flat,
     /// Force the ring schedule.

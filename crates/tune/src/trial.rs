@@ -1,15 +1,16 @@
 //! Deterministic micro-benchmark trials probing the solver's hot paths.
 //!
-//! Each trial *executes* the real code path — a `chase-topo` hop schedule
-//! over the real communicators, the pipelined HEMM over the caller's actual
-//! `H` block, the demoted filter — and scores it on one of two clocks:
+//! Each trial probes a real code path — a collective on the real
+//! communicators, the pipelined HEMM over the caller's actual `H` block, the
+//! demoted filter — and scores it on one of two clocks:
 //!
-//! * **deterministic** — the events the path recorded are priced with the
-//!   `chase-perfmodel` machine (per-hop for collectives, overlap-aware for
-//!   pipelined filter steps). Trials replay bitwise, so tests and the
-//!   serve scheduler's plan phase stay reproducible.
-//! * **wall-clock** — `std::time::Instant` around the same execution, for
-//!   tuning on a live machine.
+//! * **deterministic** — the path's events are priced with the
+//!   `chase-perfmodel` machine (a hop schedule's `chase-topo` hop plan per
+//!   hop, pipelined filter steps overlap-aware). Trials replay bitwise, so
+//!   tests and the serve scheduler's plan phase stay reproducible.
+//! * **wall-clock** — `std::time::Instant` around the execution, for tuning
+//!   on a live machine. Every collective candidate moves its data on the
+//!   one collective engine, so collective probes time that engine.
 //!
 //! Either way, every candidate's score is world-agreed (summed over ranks
 //! with one scalar allreduce) *before* any rank compares candidates, so
@@ -33,7 +34,7 @@ use chase_linalg::{Matrix, RealScalar, Scalar};
 use chase_perfmodel::{
     price_events_overlap, CommFlavor, Machine, PriceCtx, ResidualRow, ScalarKind,
 };
-use chase_topo::{collective_cost, exec, Algo, CollOp, CHUNK_MENU, PANEL_MENU};
+use chase_topo::{collective_cost, hop_plan, Algo, CollOp, HopOp, CHUNK_MENU, PANEL_MENU};
 use std::time::Instant;
 
 /// Degree of the trial filter: the smallest even degree that exercises both
@@ -179,6 +180,19 @@ fn chunk_candidates(bytes: u64) -> Vec<u64> {
     chunks
 }
 
+/// Move one probe collective of `len` elements on the collective engine.
+fn probe_data<T: Scalar + Reduce>(comm: &Communicator, op: CollOp, len: usize) {
+    let mut buf = vec![T::one(); len];
+    match op {
+        CollOp::AllReduce => comm.allreduce_sum(&mut buf),
+        CollOp::Bcast => comm.bcast(&mut buf, 0),
+        CollOp::AllGather => {
+            let per = (len / comm.size()).max(1);
+            let _ = comm.allgather(&buf[..per]);
+        }
+    }
+}
+
 /// Measure every (algorithm, chunk) candidate — flat first — for one
 /// collective probe and append the winning rule.
 #[allow(clippy::too_many_arguments)]
@@ -211,15 +225,7 @@ fn probe_collective<T: Scalar + Reduce>(
 
     // Flat reference candidate.
     let flat_cost = bench.run(|local| {
-        let mut buf = vec![T::one(); len];
-        match op {
-            CollOp::AllReduce => comm.allreduce_sum(&mut buf),
-            CollOp::Bcast => comm.bcast(&mut buf, 0),
-            CollOp::AllGather => {
-                let per = (len / members).max(1);
-                let _ = comm.allgather(&buf[..per]);
-            }
-        }
+        probe_data::<T>(comm, op, len);
         let kind = match op {
             CollOp::AllReduce => EventKind::AllReduce {
                 bytes,
@@ -247,26 +253,23 @@ fn probe_collective<T: Scalar + Reduce>(
         modeled: flat_cost,
     };
 
+    let counts = vec![(len / members).max(1); members];
+    let hop_op = match op {
+        CollOp::AllReduce => HopOp::AllReduce { len },
+        CollOp::Bcast => HopOp::Bcast { len, root: 0 },
+        CollOp::AllGather => HopOp::AllGather { counts: &counts },
+    };
+    let deterministic = bench.opts.deterministic;
     for algo in Algo::ALL {
         for chunk in chunk_candidates(bytes) {
             let cost = bench.run(|local| {
-                let mut hop = |b: u64, link| {
+                if !deterministic {
+                    probe_data::<T>(comm, op, len);
+                }
+                for (b, link) in
+                    hop_plan(hop_op, algo, es, chunk, comm.rank(), comm.labels(), &topo)
+                {
                     *local += machine.comm_time(&EventKind::P2p { bytes: b, link }, flavor);
-                };
-                match op {
-                    CollOp::AllReduce => {
-                        let mut buf = vec![T::one(); len];
-                        exec::allreduce(comm, &topo, &mut buf, algo, chunk, &mut hop);
-                    }
-                    CollOp::Bcast => {
-                        let mut buf = vec![T::one(); len];
-                        exec::bcast(comm, &topo, &mut buf, 0, algo, chunk, &mut hop);
-                    }
-                    CollOp::AllGather => {
-                        let per = (len / members).max(1);
-                        let buf = vec![T::one(); per];
-                        let _ = exec::allgather(comm, &topo, &buf, algo, chunk, &mut hop);
-                    }
                 }
             });
             let modeled = collective_cost(

@@ -1107,8 +1107,8 @@ SERVING:
 
 CHECKING:
   chase check explores the runtime's schedule space: it pins the deposit
-  order of every collective (blocking, nonblocking, and per-hop inside
-  topology-aware collectives) to seeded permutations and asserts each
+  order of every collective (blocking and nonblocking) to seeded
+  permutations and asserts each
   explored schedule reproduces the free-running run bit for bit —
   eigenvalue/residual/eigenvector bits, ledger projection, trace bytes.
   --systematic additionally sweeps every constant permutation (feasible

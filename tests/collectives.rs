@@ -1,45 +1,26 @@
-//! Property and stress tests for the topology-aware collective algorithms.
+//! Property and stress tests for the topology-aware collectives.
 //!
-//! The contract under test: every hop schedule (ring, binomial tree,
-//! recursive doubling) is *bitwise identical* to the sequential member-order
-//! reference — and hence to the flat rendezvous collective — for any
-//! communicator size, payload length (including 0 and 1), scalar type and
-//! node placement; and the whole machinery is deterministic under a fixed
-//! seed and robust to hundreds of interleaved collectives racing on row and
+//! The contract under test: whatever hop schedule prices a device
+//! collective (flat, ring, binomial tree, recursive doubling, or the
+//! tuner's choice), the data moves on the one collective engine, so the
+//! result is *bitwise identical* to the sequential member-order reference
+//! for any communicator size, payload length (including 0 and 1), scalar
+//! type and node placement; the recorded hops are exactly the rank's
+//! `hop_plan`; and the whole machinery is deterministic under a fixed seed
+//! and robust to hundreds of interleaved collectives racing on row and
 //! column communicators at once.
 
-use chase_comm::{run_grid, Communicator, GridShape, LinkClass, Reduce, Slot};
+use chase_comm::{run_grid, EventKind, GridShape, RankCtx, Reduce, SpmdOutput};
 use chase_device::{Backend, CollectiveAlgo, Device, Topology};
 use chase_linalg::{Scalar, C64};
-use chase_topo::{allgather, allreduce, bcast, Algo};
+use chase_topo::{hop_plan, HopOp, Tuner};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
-/// Run `f` SPMD over one communicator whose members carry `labels`.
-fn run_spmd<R, F>(labels: Vec<usize>, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&Communicator) -> R + Send + Sync,
-{
-    let k = labels.len();
-    let slot = Slot::new(k);
-    let labels = Arc::new(labels);
-    let mut results: Vec<Option<R>> = (0..k).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (r, out) in results.iter_mut().enumerate() {
-            let comm = Communicator::with_labels(slot.clone(), r, labels.clone());
-            let f = &f;
-            scope.spawn(move || *out = Some(f(&comm)));
-        }
-    });
-    results.into_iter().map(|r| r.unwrap()).collect()
-}
-
-/// Deterministic per-rank input block.
-fn block<T: Scalar>(rank: usize, len: usize, seed: u64) -> Vec<T> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0x9E37));
+/// Deterministic per-member input block.
+fn block<T: Scalar>(member: usize, len: usize, seed: u64) -> Vec<T> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (member as u64).wrapping_mul(0x9E37));
     (0..len).map(|_| T::sample_standard(&mut rng)).collect()
 }
 
@@ -55,58 +36,80 @@ fn reference_sum<T: Reduce>(inputs: &[Vec<T>]) -> Vec<T> {
     acc
 }
 
-/// Pseudo-random but deterministic node placement for `k` ranks.
-fn labels_for(k: usize, seed: u64) -> Vec<usize> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let stride = 1 + rng.gen_range_usize(5);
-    let offset = rng.gen_range_usize(7);
-    (0..k).map(|r| offset + r * stride).collect()
+fn algo_from(idx: usize) -> CollectiveAlgo {
+    CollectiveAlgo::ALL[idx % CollectiveAlgo::ALL.len()]
 }
 
-fn algo_from(idx: usize) -> Algo {
-    Algo::ALL[idx % Algo::ALL.len()]
+/// Run `f` on the column communicators of a `k x q` grid: `k` members at
+/// world ranks `c, c+q, c+2q, ...`, so `q` varies the node placement.
+fn run_cols<R, F>(k: usize, q: usize, algo: CollectiveAlgo, f: F) -> SpmdOutput<R>
+where
+    R: Send,
+    F: Fn(&Device<'_>, &RankCtx) -> R + Send + Sync,
+{
+    run_grid(GridShape::new(k, q), |ctx| {
+        let dev = Device::with_collectives(ctx, Backend::Nccl, algo, Topology::juwels_booster());
+        f(&dev, ctx)
+    })
+}
+
+/// Wall-clock-free projection of a ledger's comm events.
+fn comm_events(out: &SpmdOutput<impl Sized>) -> Vec<Vec<EventKind>> {
+    out.ledgers
+        .iter()
+        .map(|l| {
+            l.events()
+                .iter()
+                .map(|e| e.kind)
+                .filter(|k| {
+                    matches!(
+                        k,
+                        EventKind::P2p { .. }
+                            | EventKind::AllReduce { .. }
+                            | EventKind::Bcast { .. }
+                    )
+                })
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Allreduce: any schedule, size, length (incl. 0 and 1), placement and
-    /// chunking is bitwise identical to the member-order reference, for
-    /// both a real and a complex scalar type.
+    /// Allreduce: any schedule, size, length (incl. 0 and 1) and placement
+    /// is bitwise identical to the member-order reference, for both a real
+    /// and a complex scalar type.
     #[test]
     fn allreduce_bitwise_matches_reference(
         k in 2usize..10,
         len_sel in 0usize..5,
-        algo_sel in 0usize..3,
+        algo_sel in 0usize..5,
         seed in 0u64..1000,
     ) {
         let len = [0usize, 1, 2, 17, 64][len_sel];
         let algo = algo_from(algo_sel);
-        let labels = labels_for(k, seed);
-        let topo = Topology::juwels_booster();
-        let chunk = [16u64, 64, 1 << 20][seed as usize % 3];
+        let q = 1 + seed as usize % 2;
 
         let inputs_f: Vec<Vec<f64>> = (0..k).map(|r| block(r, len, seed)).collect();
         let want_f = reference_sum(&inputs_f);
-        let got_f = run_spmd(labels.clone(), |comm| {
-            let mut buf = block::<f64>(comm.rank(), len, seed);
-            let mut sink = |_b: u64, _l: LinkClass| {};
-            allreduce(comm, &topo, &mut buf, algo, chunk, &mut sink);
+        let got_f = run_cols(k, q, algo, |dev, ctx| {
+            let mut buf = block::<f64>(ctx.row, len, seed);
+            dev.allreduce_sum(&ctx.col_comm, &mut buf);
             buf
         });
-        for g in &got_f {
+        for g in &got_f.results {
             prop_assert_eq!(g, &want_f);
         }
 
         let inputs_z: Vec<Vec<C64>> = (0..k).map(|r| block(r, len, seed + 1)).collect();
         let want_z = reference_sum(&inputs_z);
-        let got_z = run_spmd(labels, |comm| {
-            let mut buf = block::<C64>(comm.rank(), len, seed + 1);
-            let mut sink = |_b: u64, _l: LinkClass| {};
-            allreduce(comm, &topo, &mut buf, algo, chunk, &mut sink);
+        let got_z = run_cols(k, q, algo, |dev, ctx| {
+            let mut buf = block::<C64>(ctx.row, len, seed + 1);
+            dev.allreduce_sum(&ctx.col_comm, &mut buf);
             buf
         });
-        for g in &got_z {
+        for g in &got_z.results {
             prop_assert_eq!(g, &want_z);
         }
     }
@@ -116,26 +119,24 @@ proptest! {
     fn bcast_delivers_root_block(
         k in 2usize..10,
         len_sel in 0usize..4,
-        algo_sel in 0usize..3,
+        algo_sel in 0usize..5,
         root_sel in 0usize..16,
         seed in 0u64..1000,
     ) {
         let len = [1usize, 2, 17, 64][len_sel];
         let algo = algo_from(algo_sel);
         let root = root_sel % k;
-        let topo = Topology::juwels_booster();
         let want = block::<f32>(root, len, seed);
-        let got = run_spmd(labels_for(k, seed), |comm| {
-            let mut buf = if comm.rank() == root {
+        let got = run_cols(k, 1 + seed as usize % 2, algo, |dev, ctx| {
+            let mut buf = if ctx.row == root {
                 block::<f32>(root, len, seed)
             } else {
                 vec![0.0f32; len]
             };
-            let mut sink = |_b: u64, _l: LinkClass| {};
-            bcast(comm, &topo, &mut buf, root, algo, 64, &mut sink);
+            dev.bcast(&ctx.col_comm, &mut buf, root);
             buf
         });
-        for g in &got {
+        for g in &got.results {
             prop_assert_eq!(g, &want);
         }
     }
@@ -144,46 +145,62 @@ proptest! {
     #[test]
     fn allgather_concatenates_in_member_order(
         k in 2usize..10,
-        algo_sel in 0usize..3,
+        algo_sel in 0usize..5,
         seed in 0u64..1000,
     ) {
         let algo = algo_from(algo_sel);
-        let topo = Topology::juwels_booster();
-        // Ragged: rank r contributes (seed + r) % 5 values — some empty.
+        // Ragged: member r contributes (seed + r) % 5 values — some empty.
         let len_of = |r: usize| (seed as usize + r) % 5;
         let want: Vec<f64> = (0..k).flat_map(|r| block(r, len_of(r), seed)).collect();
-        let got = run_spmd(labels_for(k, seed), |comm| {
-            let mine = block::<f64>(comm.rank(), len_of(comm.rank()), seed);
-            let mut sink = |_b: u64, _l: LinkClass| {};
-            allgather(comm, &topo, &mine, algo, 64, &mut sink)
+        let got = run_cols(k, 1 + seed as usize % 2, algo, |dev, ctx| {
+            dev.allgather(&ctx.col_comm, &block::<f64>(ctx.row, len_of(ctx.row), seed))
         });
-        for g in &got {
+        for g in &got.results {
             prop_assert_eq!(g, &want);
         }
     }
 
     /// Fixed seed in, identical bits and identical hop streams out — across
-    /// two full runs including the emitted (bytes, link) sequences.
+    /// two full runs including the recorded (bytes, link) sequences, which
+    /// are exactly each rank's `hop_plan`.
     #[test]
     fn deterministic_under_fixed_seed(
         k in 2usize..8,
-        algo_sel in 0usize..3,
+        algo_sel in 1usize..4,
         seed in 0u64..1000,
     ) {
         let algo = algo_from(algo_sel);
-        let topo = Topology::juwels_booster();
+        let q = 1 + seed as usize % 2;
         let run = || {
-            run_spmd(labels_for(k, seed), |comm| {
-                let mut buf = block::<f64>(comm.rank(), 31, seed);
-                let mut hops: Vec<(u64, LinkClass)> = Vec::new();
-                let mut sink = |b: u64, l: LinkClass| hops.push((b, l));
-                allreduce(comm, &topo, &mut buf, algo, 48, &mut sink);
-                (buf, hops)
+            run_cols(k, q, algo, |dev, ctx| {
+                let mut buf = block::<f64>(ctx.row, 31, seed);
+                dev.allreduce_sum(&ctx.col_comm, &mut buf);
+                buf
             })
         };
         let a = run();
         let b = run();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(&a.results, &b.results);
+        prop_assert_eq!(comm_events(&a), comm_events(&b));
+
+        let topo = Topology::juwels_booster();
+        let bytes = 31 * 8;
+        for (wr, events) in comm_events(&a).into_iter().enumerate() {
+            let labels: Vec<usize> = (0..k).map(|i| i * q + wr % q).collect();
+            let forced = algo.forced().unwrap();
+            let chunk = Tuner::new(topo.clone(), true).chunk_for(
+                HopOp::AllReduce { len: 31 }.class(),
+                forced,
+                bytes,
+                &labels,
+            );
+            let want: Vec<EventKind> =
+                hop_plan(HopOp::AllReduce { len: 31 }, forced, 8, chunk, wr / q, &labels, &topo)
+                    .into_iter()
+                    .map(|(bytes, link)| EventKind::P2p { bytes, link })
+                    .collect();
+            prop_assert_eq!(events, want);
+        }
     }
 }
 
@@ -220,16 +237,15 @@ fn grid_collectives_identical_across_algo_settings() {
 }
 
 /// Stress: a 3x4 grid running a few hundred iterations of interleaved
-/// collectives on the row and column communicators simultaneously, with the
-/// schedule rotating through every algorithm and randomized thread yields
-/// perturbing the interleaving. Any ordering bug in the p2p mailboxes or
-/// any tag collision between concurrent collectives shows up as a wrong
-/// value or a deadlock here.
+/// device collectives on the row and column communicators simultaneously,
+/// with the schedule rotating through every algorithm setting and
+/// randomized thread yields perturbing the interleaving. Any op-key
+/// collision between concurrent collectives shows up as a wrong value or a
+/// deadlock here.
 #[test]
 fn stress_interleaved_grid_collectives() {
     let shape = GridShape::new(3, 4);
     let iters = 300usize;
-    let topo = Topology::juwels_booster();
     let out = run_grid(shape, |ctx| {
         let mut rng = ChaCha8Rng::seed_from_u64(0xBEEF ^ ctx.world_rank() as u64);
         let mut checks = 0usize;
@@ -237,13 +253,13 @@ fn stress_interleaved_grid_collectives() {
             if rng.gen::<bool>() {
                 std::thread::yield_now();
             }
-            let algo = Algo::ALL[i % Algo::ALL.len()];
-            let chunk = [24u64, 64, 4096][i % 3];
+            let algo = CollectiveAlgo::ALL[i % CollectiveAlgo::ALL.len()];
+            let dev =
+                Device::with_collectives(ctx, Backend::Nccl, algo, Topology::juwels_booster());
 
             // Row allreduce: sum of column indices scaled per iteration.
             let mut row_buf = vec![(ctx.col * (i + 1)) as f64; 1 + i % 7];
-            let mut sink = |_b: u64, _l: LinkClass| {};
-            allreduce(&ctx.row_comm, &topo, &mut row_buf, algo, chunk, &mut sink);
+            dev.allreduce_sum(&ctx.row_comm, &mut row_buf);
             let want_row = ((0..shape.q).sum::<usize>() * (i + 1)) as f64;
             assert!(
                 row_buf.iter().all(|&v| v == want_row),
@@ -264,33 +280,29 @@ fn stress_interleaved_grid_collectives() {
                 };
                 3
             ];
-            let mut sink = |_b: u64, _l: LinkClass| {};
-            bcast(
-                &ctx.col_comm,
-                &topo,
-                &mut col_buf,
-                root,
-                algo,
-                chunk,
-                &mut sink,
-            );
+            dev.bcast(&ctx.col_comm, &mut col_buf, root);
             assert!(
                 col_buf.iter().all(|&v| v == (root * 131 + i) as f64),
                 "iter {i}: col bcast"
             );
 
             // Column allgather of the rank's row index.
-            let mine = vec![ctx.row as f64; 2];
-            let mut sink = |_b: u64, _l: LinkClass| {};
-            let gathered = allgather(&ctx.col_comm, &topo, &mine, algo, chunk, &mut sink);
+            let gathered = dev.allgather(&ctx.col_comm, &[ctx.row as f64; 2]);
             let want: Vec<f64> = (0..shape.p).flat_map(|r| [r as f64; 2]).collect();
             assert_eq!(gathered, want, "iter {i}: col allgather");
 
             checks += 3;
         }
-        checks
+        let hops = ctx
+            .ledger_snapshot()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::P2p { .. }))
+            .count();
+        (checks, hops)
     });
-    for c in out.results {
+    for (c, hops) in out.results {
         assert_eq!(c, iters * 3);
+        assert!(hops > 0, "hop-scheduled iterations must record hops");
     }
 }
