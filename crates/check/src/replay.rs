@@ -247,8 +247,8 @@ mod tests {
 
     #[test]
     fn retired_hop_stream_is_rejected() {
-        // Hop schedules no longer move data, so `hop` is not a schedule
-        // stream any more: an old witness naming it fails to parse.
+        // Hop schedules deposit nothing, so a witness naming a `hop`
+        // stream fails to parse.
         let text = witness().to_string().replace("stream=nb", "stream=hop");
         let err = Witness::from_str(&text).unwrap_err();
         assert!(err.contains("unknown stream \"hop\""), "{err}");

@@ -236,8 +236,8 @@ type OpKey = (ScheduleStream, u64);
 /// payload type.
 const TYPE_MISMATCH: &str = "collective type mismatch across ranks";
 
-/// One in-flight collective. Ops are keyed, not epoch-sequenced, so a rank
-/// can post op `s+1` before anyone has waited on op `s` — the
+/// One in-flight collective. Ops are keyed, so a rank can post op `s+1`
+/// before anyone has waited on op `s` — the
 /// double-buffered filter pipeline depends on never blocking at post time.
 struct Op {
     arrived: usize,

@@ -139,7 +139,7 @@ mod tests {
             assert_eq!(ScheduleStream::from_token(s.token()), Some(s));
         }
         assert_eq!(ScheduleStream::from_token("bogus"), None);
-        // Retired with the hop schedules' data plane.
+        // Hop schedules deposit nothing, so `hop` names no stream.
         assert_eq!(ScheduleStream::from_token("hop"), None);
     }
 
