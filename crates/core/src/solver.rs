@@ -491,7 +491,7 @@ where
             }
             nrm.push(chase_linalg::blas1::nrm2_sqr(bj));
         }
-        self.dev.allreduce_sum_real::<T>(&ctx.row_comm, &mut nrm);
+        self.dev.allreduce_sum(&ctx.row_comm, &mut nrm);
         for (k, v) in nrm.into_iter().enumerate() {
             self.resd[self.locked + k] = v.sqrt_r();
         }
@@ -621,7 +621,7 @@ where
             }
             nrm.push(chase_linalg::blas1::nrm2_sqr(bk));
         }
-        self.dev.allreduce_sum_real::<T>(&ctx.row_comm, &mut nrm);
+        self.dev.allreduce_sum(&ctx.row_comm, &mut nrm);
         let mut detail = String::new();
         for (k, v) in nrm.into_iter().enumerate() {
             let r = v.sqrt_r().to_f64();

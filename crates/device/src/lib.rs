@@ -326,14 +326,6 @@ impl<'a> Device<'a> {
         comm.allreduce_sum(buf);
     }
 
-    /// Sum-allreduce of real workspace (residual norms, Frobenius norms).
-    pub fn allreduce_sum_real<T: Scalar>(&self, comm: &Communicator, buf: &mut [T::Real])
-    where
-        T::Real: Reduce,
-    {
-        self.allreduce_sum(comm, buf);
-    }
-
     // ---- nonblocking collectives and overlap windows ---------------------
 
     /// Open an overlap window: every event recorded until [`end_overlap`]

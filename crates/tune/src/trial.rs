@@ -9,8 +9,10 @@
 //!   hop, pipelined filter steps overlap-aware). Trials replay bitwise, so
 //!   tests and the serve scheduler's plan phase stay reproducible.
 //! * **wall-clock** — `std::time::Instant` around the execution, for tuning
-//!   on a live machine. Every collective candidate moves its data on the
-//!   one collective engine, so collective probes time that engine.
+//!   on a live machine. Every collective moves its data on the one
+//!   collective engine whatever its hop schedule, so there is nothing to
+//!   time per hop candidate: collective probes time the engine once, as the
+//!   flat candidate, and record flat.
 //!
 //! Either way, every candidate's score is world-agreed (summed over ranks
 //! with one scalar allreduce) *before* any rank compares candidates, so
@@ -90,8 +92,9 @@ impl TuneOptions {
 }
 
 /// A finished tuning run: the DB entry plus the modeled-vs-measured
-/// residuals of every hop-schedule candidate (the `chase-perfmodel`
-/// calibration report).
+/// residuals of every collective candidate — each hop schedule on the
+/// deterministic clock, the engine's flat collective on the wall clock (the
+/// `chase-perfmodel` calibration report).
 #[derive(Debug, Clone)]
 pub struct TuneOutcome {
     pub entry: PlanEntry,
@@ -193,8 +196,9 @@ fn probe_data<T: Scalar + Reduce>(comm: &Communicator, op: CollOp, len: usize) {
     }
 }
 
-/// Measure every (algorithm, chunk) candidate — flat first — for one
-/// collective probe and append the winning rule.
+/// Score every (algorithm, chunk) candidate — flat first — for one
+/// collective probe and append the winning rule. On the wall clock only the
+/// flat candidate runs (see the module docs), so its rule is flat.
 #[allow(clippy::too_many_arguments)]
 fn probe_collective<T: Scalar + Reduce>(
     bench: &mut Bench<'_>,
@@ -224,23 +228,24 @@ fn probe_collective<T: Scalar + Reduce>(
     let topo = machine.topo.clone();
 
     // Flat reference candidate.
+    let flat_kind = match op {
+        CollOp::AllReduce => EventKind::AllReduce {
+            bytes,
+            members: members as u64,
+        },
+        CollOp::Bcast => EventKind::Bcast {
+            bytes,
+            members: members as u64,
+        },
+        CollOp::AllGather => EventKind::AllGather {
+            bytes_per_rank: bytes / members.max(1) as u64,
+            members: members as u64,
+        },
+    };
+    let flat_model = machine.comm_time(&flat_kind, flavor);
     let flat_cost = bench.run(|local| {
         probe_data::<T>(comm, op, len);
-        let kind = match op {
-            CollOp::AllReduce => EventKind::AllReduce {
-                bytes,
-                members: members as u64,
-            },
-            CollOp::Bcast => EventKind::Bcast {
-                bytes,
-                members: members as u64,
-            },
-            CollOp::AllGather => EventKind::AllGather {
-                bytes_per_rank: bytes / members.max(1) as u64,
-                members: members as u64,
-            },
-        };
-        *local = machine.comm_time(&kind, flavor);
+        *local = flat_model;
     });
 
     let mut best = CollRule {
@@ -253,19 +258,28 @@ fn probe_collective<T: Scalar + Reduce>(
         modeled: flat_cost,
     };
 
+    // Hop schedules are a cost plan over the same engine: only the model
+    // tells them apart, so the wall clock has no hop candidate to measure.
+    if !bench.opts.deterministic {
+        bench.residuals.push(ResidualRow {
+            label: format!("{} {}B x{} flat", tune_op.name(), bytes, members),
+            modeled: flat_model,
+            measured: flat_cost,
+        });
+        *tuned_sum += flat_cost;
+        *flat_sum += flat_cost;
+        rules.push(best);
+        return;
+    }
     let counts = vec![(len / members).max(1); members];
     let hop_op = match op {
         CollOp::AllReduce => HopOp::AllReduce { len },
         CollOp::Bcast => HopOp::Bcast { len, root: 0 },
         CollOp::AllGather => HopOp::AllGather { counts: &counts },
     };
-    let deterministic = bench.opts.deterministic;
     for algo in Algo::ALL {
         for chunk in chunk_candidates(bytes) {
             let cost = bench.run(|local| {
-                if !deterministic {
-                    probe_data::<T>(comm, op, len);
-                }
                 for (b, link) in
                     hop_plan(hop_op, algo, es, chunk, comm.rank(), comm.labels(), &topo)
                 {

@@ -9,6 +9,8 @@
 //!   sampled `(N, grid, scalar)` configuration;
 //! - the plan is world-agreed: every rank of a grid derives bitwise the
 //!   same entry before anything executes under it;
+//! - wall-clock tuning records reproducible collective rules: hop schedules
+//!   share the flat engine, so timing noise cannot pick between them;
 //! - a tuned plan is a pure reschedule: solving under `apply_plan` +
 //!   measured hook is bitwise identical to hand-pinning the same knobs;
 //! - the DB actually short-circuits work: a warm solve replays the stored
@@ -180,9 +182,24 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
+    tune_with::<T>(n, nev, nex, shape, &TuneOptions::deterministic())
+}
+
+/// Tune one configuration under `opts`, returning every rank's entry.
+fn tune_with<T>(
+    n: usize,
+    nev: usize,
+    nex: usize,
+    shape: GridShape,
+    opts: &TuneOptions,
+) -> Vec<PlanEntry>
+where
+    T: Scalar + Reduce,
+    T::Real: Reduce,
+    T::Lo: Reduce,
+{
     let (h, _) = problem::<T>(n, 3);
-    let opts = TuneOptions::deterministic();
-    let (h, opts) = (&h, &opts);
+    let h = &h;
     run_grid(shape, move |ctx| {
         let mut dh = DistHerm::from_global(h, ctx);
         tune_entry(ctx, &mut dh, nev, nex, opts).entry
@@ -225,6 +242,27 @@ fn tuned_cost_never_exceeds_flat_and_ranks_agree() {
             let key = plan_key::<C64>(&TuneOptions::deterministic().machine, p, q, n, 6, 4);
             assert_eq!(e0.key.machine, key.machine, "fingerprint drifted");
         }
+    }
+}
+
+#[test]
+fn wall_clock_collective_rules_are_reproducible() {
+    // Every hop schedule moves its data on the same engine as flat, so the
+    // wall clock cannot tell them apart: its collective rules must not
+    // depend on timing noise.
+    let shape = GridShape::new(2, 2);
+    let rules = |e: &PlanEntry| -> Vec<(TuneOp, usize, u64, TuneAlgo, u64)> {
+        e.rules
+            .iter()
+            .map(|r| (r.op, r.members, r.max_bytes, r.algo, r.chunk_bytes))
+            .collect()
+    };
+    let first = tune_with::<f64>(48, 6, 4, shape, &TuneOptions::wall_clock());
+    let second = tune_with::<f64>(48, 6, 4, shape, &TuneOptions::wall_clock());
+    assert!(!first[0].rules.is_empty(), "no collective rules measured");
+    assert!(first[0].rules.iter().all(|r| r.algo == TuneAlgo::Flat));
+    for e in first.iter().chain(&second) {
+        assert_eq!(rules(e), rules(&first[0]));
     }
 }
 
