@@ -471,15 +471,14 @@ impl<'a> Device<'a> {
         }
         // The root only pays D2H; receivers only pay H2D. Record one copy on
         // each side (the ledger is per-rank).
+        let bytes = size_of_val(buf) as u64;
         if self.backend.stages_through_host() {
-            let bytes = size_of_val(buf) as u64;
             if comm.rank() == root {
                 self.ctx.record(EventKind::D2H { bytes });
             } else {
                 self.ctx.record(EventKind::H2D { bytes });
             }
         }
-        let bytes = size_of_val(buf) as u64;
         let op = HopOp::Bcast {
             len: buf.len(),
             root,

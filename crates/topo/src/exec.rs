@@ -127,11 +127,7 @@ struct Plan<'a> {
 
 /// Largest power of two not above `k`: the core of the doubling schedules.
 fn pow2_core(k: usize) -> usize {
-    if k.is_power_of_two() {
-        k
-    } else {
-        k.next_power_of_two() / 2
-    }
+    1 << k.ilog2()
 }
 
 impl Plan<'_> {

@@ -9,10 +9,8 @@
 //!   hop, pipelined filter steps overlap-aware). Trials replay bitwise, so
 //!   tests and the serve scheduler's plan phase stay reproducible.
 //! * **wall-clock** — `std::time::Instant` around the execution, for tuning
-//!   on a live machine. Every collective moves its data on the one
-//!   collective engine whatever its hop schedule, so there is nothing to
-//!   time per hop candidate: collective probes time the engine once, as the
-//!   flat candidate, and record flat.
+//!   on a live machine. Hop schedules move their data on the same engine as
+//!   flat, so collective probes time only the flat candidate and record it.
 //!
 //! Either way, every candidate's score is world-agreed (summed over ranks
 //! with one scalar allreduce) *before* any rank compares candidates, so
@@ -183,19 +181,6 @@ fn chunk_candidates(bytes: u64) -> Vec<u64> {
     chunks
 }
 
-/// Move one probe collective of `len` elements on the collective engine.
-fn probe_data<T: Scalar + Reduce>(comm: &Communicator, op: CollOp, len: usize) {
-    let mut buf = vec![T::one(); len];
-    match op {
-        CollOp::AllReduce => comm.allreduce_sum(&mut buf),
-        CollOp::Bcast => comm.bcast(&mut buf, 0),
-        CollOp::AllGather => {
-            let per = (len / comm.size()).max(1);
-            let _ = comm.allgather(&buf[..per]);
-        }
-    }
-}
-
 /// Score every (algorithm, chunk) candidate — flat first — for one
 /// collective probe and append the winning rule. On the wall clock only the
 /// flat candidate runs (see the module docs), so its rule is flat.
@@ -244,7 +229,15 @@ fn probe_collective<T: Scalar + Reduce>(
     };
     let flat_model = machine.comm_time(&flat_kind, flavor);
     let flat_cost = bench.run(|local| {
-        probe_data::<T>(comm, op, len);
+        let mut buf = vec![T::one(); len];
+        match op {
+            CollOp::AllReduce => comm.allreduce_sum(&mut buf),
+            CollOp::Bcast => comm.bcast(&mut buf, 0),
+            CollOp::AllGather => {
+                let per = (len / members).max(1);
+                let _ = comm.allgather(&buf[..per]);
+            }
+        }
         *local = flat_model;
     });
 
@@ -255,29 +248,28 @@ fn probe_collective<T: Scalar + Reduce>(
         algo: TuneAlgo::Flat,
         chunk_bytes: 0,
         measured: flat_cost,
-        modeled: flat_cost,
+        modeled: flat_model,
     };
 
     // Hop schedules are a cost plan over the same engine: only the model
     // tells them apart, so the wall clock has no hop candidate to measure.
-    if !bench.opts.deterministic {
+    let algos: &[Algo] = if bench.opts.deterministic {
+        &Algo::ALL
+    } else {
         bench.residuals.push(ResidualRow {
             label: format!("{} {}B x{} flat", tune_op.name(), bytes, members),
             modeled: flat_model,
             measured: flat_cost,
         });
-        *tuned_sum += flat_cost;
-        *flat_sum += flat_cost;
-        rules.push(best);
-        return;
-    }
+        &[]
+    };
     let counts = vec![(len / members).max(1); members];
     let hop_op = match op {
         CollOp::AllReduce => HopOp::AllReduce { len },
         CollOp::Bcast => HopOp::Bcast { len, root: 0 },
         CollOp::AllGather => HopOp::AllGather { counts: &counts },
     };
-    for algo in Algo::ALL {
+    for &algo in algos {
         for chunk in chunk_candidates(bytes) {
             let cost = bench.run(|local| {
                 for (b, link) in

@@ -1087,7 +1087,9 @@ AUTOTUNING:
   short trials and stores the winning plan in a versioned JSON DB keyed by
   machine fingerprint x grid x problem x scalar. Under --deterministic the
   trials are priced by the perf-model clock (bitwise replayable); otherwise
-  they are wall-clocked. chase solve --plan-db FILE applies the stored plan
+  they are wall-clocked, and collectives record flat (every hop schedule
+  moves its data on the same engine, so the clock cannot tell them
+  apart). chase solve --plan-db FILE applies the stored plan
   to every knob left on auto (a DB miss tunes in-place and persists); a
   warm DB means zero trials — the trace contains no 'tune' spans. The tuned
   plan's trial cost is never worse than the flat reference, which is always

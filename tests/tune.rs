@@ -175,24 +175,9 @@ fn duplicate_keys_and_version_skew_are_typed() {
 // Live trials: tuned never loses to flat, and the plan is world-agreed.
 // ---------------------------------------------------------------------------
 
-/// Deterministically tune one configuration, returning every rank's entry.
-fn tune_on<T>(n: usize, nev: usize, nex: usize, shape: GridShape) -> Vec<PlanEntry>
-where
-    T: Scalar + Reduce,
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    tune_with::<T>(n, nev, nex, shape, &TuneOptions::deterministic())
-}
-
-/// Tune one configuration under `opts`, returning every rank's entry.
-fn tune_with<T>(
-    n: usize,
-    nev: usize,
-    nex: usize,
-    shape: GridShape,
-    opts: &TuneOptions,
-) -> Vec<PlanEntry>
+/// Tune an `n`-sized problem at nev 6, nex 4 under `opts`, returning every
+/// rank's entry.
+fn tune_on<T>(shape: GridShape, n: usize, opts: &TuneOptions) -> Vec<PlanEntry>
 where
     T: Scalar + Reduce,
     T::Real: Reduce,
@@ -202,7 +187,7 @@ where
     let h = &h;
     run_grid(shape, move |ctx| {
         let mut dh = DistHerm::from_global(h, ctx);
-        tune_entry(ctx, &mut dh, nev, nex, opts).entry
+        tune_entry(ctx, &mut dh, 6, 4, opts).entry
     })
     .results
 }
@@ -215,9 +200,10 @@ fn tuned_cost_never_exceeds_flat_and_ranks_agree() {
     for (n, p, q) in configs {
         let shape = GridShape::new(p, q);
         for scalar in ["f64", "c64"] {
+            let opts = TuneOptions::deterministic();
             let entries = match scalar {
-                "f64" => tune_on::<f64>(n, 6, 4, shape),
-                _ => tune_on::<C64>(n, 6, 4, shape),
+                "f64" => tune_on::<f64>(shape, n, &opts),
+                _ => tune_on::<C64>(shape, n, &opts),
             };
             let e0 = &entries[0];
             // World agreement: bitwise the same plan on every rank, before
@@ -257,8 +243,8 @@ fn wall_clock_collective_rules_are_reproducible() {
             .map(|r| (r.op, r.members, r.max_bytes, r.algo, r.chunk_bytes))
             .collect()
     };
-    let first = tune_with::<f64>(48, 6, 4, shape, &TuneOptions::wall_clock());
-    let second = tune_with::<f64>(48, 6, 4, shape, &TuneOptions::wall_clock());
+    let first = tune_on::<f64>(shape, 48, &TuneOptions::wall_clock());
+    let second = tune_on::<f64>(shape, 48, &TuneOptions::wall_clock());
     assert!(!first[0].rules.is_empty(), "no collective rules measured");
     assert!(first[0].rules.iter().all(|r| r.algo == TuneAlgo::Flat));
     for e in first.iter().chain(&second) {
@@ -297,7 +283,7 @@ fn tuned_solve_is_bitwise_equal_to_manual_pinning() {
     let n = 48;
     let shape = GridShape::new(2, 2);
     let (h, _) = problem::<C64>(n, 9);
-    let entry = tune_on::<C64>(n, 6, 4, shape).remove(0);
+    let entry = tune_on::<C64>(shape, n, &TuneOptions::deterministic()).remove(0);
 
     // Path A: the production plan application — Auto knobs filled by the
     // measured plan, provenance attached.
