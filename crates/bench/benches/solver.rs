@@ -4,7 +4,9 @@
 //! the microcosm of Fig. 3b's ChASE-vs-direct asymmetry.
 
 use chase_comm::{run_grid, solo_ctx, GridShape};
-use chase_core::{chebyshev_filter, solve_dist, solve_serial, DistHerm, FilterBounds, Params};
+use chase_core::{
+    chebyshev_filter, try_solve_dist, try_solve_serial, DistHerm, FilterBounds, Params,
+};
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -58,19 +60,22 @@ fn bench_solve(c: &mut Criterion) {
     let mut p = Params::new(8, 6);
     p.tol = 1e-9;
 
-    group.bench_function("chase_serial_n200", |b| b.iter(|| solve_serial(&h, &p)));
+    group.bench_function("chase_serial_n200", |b| {
+        b.iter(|| try_solve_serial(&h, &p, None).expect("ChASE solve aborted"))
+    });
 
     let (href, pref) = (&h, &p);
     group.bench_function("chase_2x2_threads_n200", |b| {
         b.iter(|| {
             run_grid(GridShape::new(2, 2), move |ctx| {
-                solve_dist(
+                try_solve_dist(
                     ctx,
                     Backend::Nccl,
                     DistHerm::from_global(href, ctx),
                     pref,
                     None,
                 )
+                .expect("ChASE solve aborted")
             })
         })
     });

@@ -3,7 +3,7 @@
 //! motivate the feature, and the conditioning cost it incurs (Fig. 1's
 //! opt-vs-no-opt contrast).
 
-use chase_core::{solve_serial, Params};
+use chase_core::{try_solve_serial, Params};
 use chase_linalg::C64;
 use chase_matgen::scaled_suite;
 
@@ -25,7 +25,7 @@ fn main() {
             p.tol = 1e-10;
             p.optimize_degrees = optimize;
             p.track_true_cond = true;
-            let r = solve_serial(&h, &p);
+            let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
             assert!(r.converged, "{} opt={optimize} failed", problem.name);
             let peak = r
                 .stats

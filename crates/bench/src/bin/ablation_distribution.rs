@@ -6,7 +6,7 @@
 //! verifies both live.
 
 use chase_comm::{run_grid, Category, Distribution, GridShape};
-use chase_core::{solve_dist, DistHerm, Params};
+use chase_core::{try_solve_dist, DistHerm, Params};
 use chase_device::Backend;
 use chase_linalg::C64;
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -35,7 +35,10 @@ fn main() {
         let out = run_grid(GridShape::new(2, 2), move |ctx| {
             let dh = DistHerm::from_global_dist(href, ctx, dist);
             let shape = (dh.n_r(), dh.n_c());
-            (solve_dist(ctx, Backend::Nccl, dh, pref, None), shape)
+            (
+                try_solve_dist(ctx, Backend::Nccl, dh, pref, None).expect("ChASE solve aborted"),
+                shape,
+            )
         });
         let (r, _) = &out.results[0];
         assert!(r.converged, "{name} did not converge");

@@ -21,7 +21,7 @@
 
 use chase_bench::{run_live, write_bench_json, BenchRecord};
 use chase_comm::{run_grid, GridShape, Ledger};
-use chase_core::{solve_dist, ChaseResult, DistHerm, Params, PrecisionMode};
+use chase_core::{try_solve_dist, ChaseResult, DistHerm, Params, PrecisionMode};
 use chase_device::{Backend, CollectiveAlgo};
 use chase_linalg::{Matrix, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -65,7 +65,8 @@ fn run_measured(
         p.precision = PrecisionMode::Auto;
         p.apply_plan(&plan_from_entry(entry));
         ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(entry.clone()))));
-        let r = solve_dist(ctx, Backend::Nccl, DistHerm::from_global(h, ctx), &p, None);
+        let r = try_solve_dist(ctx, Backend::Nccl, DistHerm::from_global(h, ctx), &p, None)
+            .expect("ChASE solve aborted");
         ctx.set_tune_hook(None);
         r
     });

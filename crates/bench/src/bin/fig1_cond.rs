@@ -11,7 +11,7 @@
 //! 3. In the no-opt case the largest condition number comes first; with opt
 //!    it can peak later (max degree 36 vs fixed 20).
 
-use chase_core::{solve_serial, Params};
+use chase_core::{try_solve_serial, Params};
 use chase_linalg::C64;
 use chase_matgen::scaled_suite;
 
@@ -33,7 +33,7 @@ fn main() {
             p.tol = 1e-10;
             p.optimize_degrees = optimize;
             p.track_true_cond = true;
-            let r = solve_serial(&h, &p);
+            let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
             let label = if optimize { "opt   " } else { "no-opt" };
             println!(
                 "  [{label}] converged = {} in {} iterations, {} MatVecs",

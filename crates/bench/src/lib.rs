@@ -18,7 +18,7 @@
 
 use chase_comm::{run_grid, GridShape, Ledger};
 use chase_core::{
-    chebyshev_filter_with, solve_dist, ChaseResult, DistHerm, FilterBounds, FilterExec, Params,
+    chebyshev_filter_with, try_solve_dist, ChaseResult, DistHerm, FilterBounds, FilterExec, Params,
 };
 use chase_device::{Backend, Device};
 use chase_linalg::{Matrix, C64};
@@ -39,7 +39,7 @@ pub fn run_live(h: &Matrix<C64>, params: &Params, shape: GridShape, backend: Bac
     let t0 = std::time::Instant::now();
     let out = run_grid(shape, move |ctx| {
         let dh = DistHerm::from_global(h, ctx);
-        solve_dist(ctx, backend, dh, params, None)
+        try_solve_dist(ctx, backend, dh, params, None).expect("ChASE solve aborted")
     });
     let wall = t0.elapsed();
     LiveRun {

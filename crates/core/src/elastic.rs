@@ -34,7 +34,7 @@ use crate::ckpt::{load_latest, Snapshot};
 use crate::layout::DistHerm;
 use crate::params::Params;
 use crate::result::{ChaseError, ChaseErrorKind, ChaseResult, RecoveryEventKind, RecoveryLog};
-use crate::solver::try_solve_dist_inner;
+use crate::solver::solve_attempt;
 use chase_comm::{shrink_ctx, Category, EventKind, GridShape, RankCtx, Reduce};
 use chase_device::Backend;
 use chase_faults::{InjectionRecord, RankCrashPanic};
@@ -103,7 +103,7 @@ where
         let prelude_now = std::mem::take(&mut prelude);
         let snap = resume_from.take();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            try_solve_dist_inner(cur, backend, h, &p, None, snap.as_ref(), prelude_now)
+            solve_attempt(cur, backend, h, &p, None, snap.as_ref(), prelude_now)
         }));
 
         // Classify the attempt: done, or a death to recover from.

@@ -6,9 +6,12 @@
 //! switching, and backend-dependent (MPI-staged vs NCCL device-direct)
 //! collective accounting.
 //!
-//! Entry points:
-//! * [`solve_serial`] — one-rank solve on a replicated matrix.
-//! * [`solve_dist`] — SPMD solve inside a [`chase_comm::run_grid`] region.
+//! Entry points (each returns a typed [`ChaseError`] on failure; a warm
+//! start is an optional input, not a separate function):
+//! * [`try_solve_dist`] — SPMD solve inside a [`chase_comm::run_grid`] region.
+//! * [`try_solve_serial`] — one-rank solve on a replicated matrix.
+//! * [`try_solve_elastic`] — SPMD solve that survives rank crashes by
+//!   shrinking the grid and resuming from the latest checkpoint.
 //! * [`lms::solve_lms`] — the legacy v1.2 layout (redundant QR/RR/residuals),
 //!   kept as the ChASE(LMS) baseline of the paper's evaluation.
 
@@ -47,8 +50,5 @@ pub use result::{
     ChaseError, ChaseErrorKind, ChaseResult, IterStats, RecoveryEvent, RecoveryEventKind,
     RecoveryLog,
 };
-pub use solver::{
-    estimate_bounds_dist, solve_dist, solve_serial, try_solve_dist, try_solve_dist_resumed,
-    try_solve_dist_warm, try_solve_serial, try_solve_serial_warm, Chase,
-};
+pub use solver::{estimate_bounds_dist, try_solve_dist, try_solve_serial, Chase};
 pub use warm::WarmStart;

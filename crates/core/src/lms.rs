@@ -29,7 +29,7 @@ fn permute_vec<V: Copy>(v: &mut [V], perm: &[usize]) {
 }
 
 /// Solve with the v1.2 legacy scheme. Functionally equivalent to
-/// [`crate::solve_dist`]; the execution/communication profile matches the
+/// [`crate::try_solve_dist`]; the execution/communication profile matches the
 /// old layout. Always uses (redundant) Householder QR, as v1.2 did.
 pub fn solve_lms<T: Scalar + Reduce>(
     ctx: &RankCtx,

@@ -179,36 +179,28 @@ where
 {
     /// Allocate buffers for the given distributed matrix.
     ///
-    /// `initial` optionally provides a global `N x ne` block of approximate
-    /// eigenvectors (ChASE's sequence-of-eigenproblems use case); otherwise
-    /// the start block is random (seeded, identical across ranks).
-    pub fn new(
-        dev: &'d Device<'c>,
-        h: DistHerm<T>,
-        params: Params,
-        initial: Option<&Matrix<T>>,
-    ) -> Self {
-        let warm = initial.map(|v0| WarmStart {
-            v0: v0.clone(),
-            bounds: None,
-        });
-        Self::with_warm_start(dev, h, params, warm.as_ref())
-    }
-
-    /// Allocate buffers, seeding the search space from a [`WarmStart`]
-    /// (the first-class sequence entry point).
+    /// `warm` optionally seeds the search space from a [`WarmStart`]
+    /// (ChASE's sequence-of-eigenproblems use case); otherwise the start
+    /// block is random (seeded, identical across ranks). The warm block may
+    /// have any `1 <= k <= ne` columns; the remaining `ne - k` search
+    /// directions are drawn from the seeded random block. Cached bounds,
+    /// when present, replace the Lanczos estimation phase (with a `b_sup`
+    /// safety margin).
     ///
-    /// The warm block may have any `1 <= k <= ne` columns; the remaining
-    /// `ne - k` search directions are drawn from the seeded random block, so
-    /// callers no longer pad by hand. Cached bounds, when present, replace
-    /// the Lanczos estimation phase (with a `b_sup` safety margin).
-    pub fn with_warm_start(
+    /// # Panics
+    ///
+    /// On parameters that fail [`Params::try_validate`] or a warm start that
+    /// fails [`WarmStart::check_fits`]; [`try_solve_dist`] reports both as a
+    /// typed [`ChaseErrorKind::InvalidParams`] instead.
+    pub fn new(
         dev: &'d Device<'c>,
         h: DistHerm<T>,
         params: Params,
         warm: Option<&WarmStart<T>>,
     ) -> Self {
-        params.validate(h.n);
+        if let Err(e) = check_inputs(&params, h.n, warm) {
+            panic!("{e}");
+        }
         let ne = params.ne();
         let ctx = dev.ctx();
         let c_dist = RowDist::c_layout(h.n, ctx.shape, h.dist);
@@ -216,12 +208,7 @@ where
 
         let c_global = match warm {
             Some(w) => {
-                assert_eq!(w.v0.rows(), h.n, "warm-start block row count");
                 let k = w.v0.cols();
-                assert!(
-                    (1..=ne).contains(&k),
-                    "warm-start block must have 1..=ne columns (got {k}, ne {ne})"
-                );
                 if k == ne {
                     w.v0.clone()
                 } else {
@@ -275,7 +262,7 @@ where
     /// Lanczos phase is skipped via the snapshot's spectral bounds. The
     /// subsequent [`Chase::try_solve`] resumes at `snapshot.iter + 1` with
     /// Ritz values, residuals, degrees, and the locked prefix intact.
-    pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
+    pub(crate) fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
         let ne = self.params.ne();
         snap.check_problem::<T>(self.h.n, self.params.nev, ne, self.params.seed)?;
         if snap.locked > ne {
@@ -306,7 +293,7 @@ where
 
     /// Prepend recovery events recorded before this solve attempt (the
     /// elastic driver's crash→shrink→restore trail).
-    pub fn set_prelude_recovery(&mut self, prelude: RecoveryLog) {
+    pub(crate) fn set_prelude_recovery(&mut self, prelude: RecoveryLog) {
         self.prelude_recovery = prelude;
     }
 
@@ -641,13 +628,6 @@ where
             return Err(detail);
         }
         Ok(())
-    }
-
-    /// Run the full Algorithm 2 loop, panicking on unrecoverable faults
-    /// (the historic infallible API).
-    pub fn solve(self) -> ChaseResult<T> {
-        self.try_solve()
-            .unwrap_or_else(|e| panic!("ChASE solve aborted: {e}"))
     }
 
     /// Run the full Algorithm 2 loop with the detection/recovery guard
@@ -1266,8 +1246,26 @@ fn filter_abort(e: FilterError, iter: usize, mut recovery: RecoveryLog) -> Chase
     }
 }
 
-/// Solve a distributed eigenproblem from within an SPMD region, returning a
-/// typed error (with the recovery log) on unrecoverable faults.
+/// Typed validation shared by every entry: the parameters must fit a
+/// problem of order `n`, and a warm start must fit the search space.
+fn check_inputs<T: Scalar>(
+    params: &Params,
+    n: usize,
+    warm: Option<&WarmStart<T>>,
+) -> Result<(), String> {
+    params.try_validate(n)?;
+    warm.map_or(Ok(()), |w| w.check_fits(n, params.ne()))
+}
+
+/// Solve a distributed eigenproblem from within an SPMD region (call from
+/// every rank of a [`chase_comm::run_grid`] region), returning a typed
+/// error (with the recovery log) on unrecoverable faults.
+///
+/// `warm` seeds the search space for a sequence of correlated problems: a
+/// partial vector block (`k <= ne` columns) and optional cached spectral
+/// bounds (skipping the Lanczos phase). Parameters or a warm start that do
+/// not fit the problem are rejected as [`ChaseErrorKind::InvalidParams`]
+/// before any collective work.
 ///
 /// When `params.inject` is set, a per-rank [`FaultPlan`] is compiled and
 /// wired into the rank's three communicators (payload corruption, delays,
@@ -1278,58 +1276,21 @@ pub fn try_solve_dist<T: Scalar + Reduce>(
     backend: Backend,
     h: DistHerm<T>,
     params: &Params,
-    initial: Option<&Matrix<T>>,
-) -> Result<ChaseResult<T>, ChaseError>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let warm = initial.map(|v0| WarmStart {
-        v0: v0.clone(),
-        bounds: None,
-    });
-    try_solve_dist_warm(ctx, backend, h, params, warm.as_ref())
-}
-
-/// [`try_solve_dist`] with a first-class [`WarmStart`]: the sequence entry
-/// point. Accepts a partial vector block (`k <= ne` columns) and optional
-/// cached spectral bounds (skipping the Lanczos phase).
-pub fn try_solve_dist_warm<T: Scalar + Reduce>(
-    ctx: &chase_comm::RankCtx,
-    backend: Backend,
-    h: DistHerm<T>,
-    params: &Params,
     warm: Option<&WarmStart<T>>,
 ) -> Result<ChaseResult<T>, ChaseError>
 where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    try_solve_dist_inner(ctx, backend, h, params, warm, None, RecoveryLog::default())
+    solve_attempt(ctx, backend, h, params, warm, None, RecoveryLog::default())
 }
 
-/// Resume a solve from a checkpoint [`Snapshot`] — typically on a *shrunk*
-/// grid after a rank crash. The snapshot's global iterate is re-sliced into
-/// this grid's block-cyclic C-layout, the Lanczos phase is skipped via the
-/// snapshot's bounds, and the loop continues at `snapshot.iter + 1`.
-/// `prelude` carries the crash→shrink→restore trail recorded by the
-/// elastic driver; it is prepended to the attempt's recovery log.
-pub fn try_solve_dist_resumed<T: Scalar + Reduce>(
-    ctx: &chase_comm::RankCtx,
-    backend: Backend,
-    h: DistHerm<T>,
-    params: &Params,
-    snapshot: &Snapshot,
-    prelude: RecoveryLog,
-) -> Result<ChaseResult<T>, ChaseError>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    try_solve_dist_inner(ctx, backend, h, params, None, Some(snapshot), prelude)
-}
-
-pub(crate) fn try_solve_dist_inner<T: Scalar + Reduce>(
+/// One SPMD solve attempt: [`try_solve_dist`], plus the elastic driver's
+/// resume from a checkpoint [`Snapshot`] (re-sliced into this grid's
+/// layout, Lanczos skipped via the snapshot's bounds, the loop continuing
+/// at `snapshot.iter + 1`) and its crash→shrink→restore trail `prelude`,
+/// prepended to the attempt's recovery log.
+pub(crate) fn solve_attempt<T: Scalar + Reduce>(
     ctx: &chase_comm::RankCtx,
     backend: Backend,
     h: DistHerm<T>,
@@ -1342,9 +1303,9 @@ where
     T::Real: Reduce,
     T::Lo: Reduce,
 {
-    // Reject malformed parameters as a typed error before any collective
-    // work: one bad workload entry must not abort a whole serve run.
-    if let Err(detail) = params.try_validate(h.n) {
+    // Reject malformed inputs as a typed error before any collective work:
+    // one bad workload entry must not abort a whole serve run.
+    if let Err(detail) = check_inputs(params, h.n, warm) {
         return Err(ChaseError {
             kind: ChaseErrorKind::InvalidParams { detail },
             iter: 0,
@@ -1381,7 +1342,7 @@ where
     )
     .with_faults(plan.clone());
     let out = (|| {
-        let mut chase = Chase::with_warm_start(&dev, h, params.clone(), warm);
+        let mut chase = Chase::new(&dev, h, params.clone(), warm);
         if let Some(snap) = resume {
             chase.apply_snapshot(snap).map_err(|e| ChaseError {
                 kind: ChaseErrorKind::BadCheckpoint {
@@ -1404,40 +1365,10 @@ where
     out
 }
 
-/// Solve a distributed eigenproblem from within an SPMD region (the historic
-/// infallible API; panics on unrecoverable injected faults).
-pub fn solve_dist<T: Scalar + Reduce>(
-    ctx: &chase_comm::RankCtx,
-    backend: Backend,
-    h: DistHerm<T>,
-    params: &Params,
-    initial: Option<&Matrix<T>>,
-) -> ChaseResult<T>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    try_solve_dist(ctx, backend, h, params, initial)
-        .unwrap_or_else(|e| panic!("ChASE solve aborted: {e}"))
-}
-
-/// Serial fallible entry point: solve on a replicated matrix with a trivial
-/// 1x1 grid (still exercising the full distributed code path).
+/// Serial entry point: solve on a replicated matrix with a trivial 1x1 grid
+/// (still exercising the full distributed code path). `warm` as in
+/// [`try_solve_dist`].
 pub fn try_solve_serial<T: Scalar + Reduce>(
-    h: &Matrix<T>,
-    params: &Params,
-) -> Result<ChaseResult<T>, ChaseError>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let ctx = chase_comm::solo_ctx();
-    let dh = DistHerm::from_global(h, &ctx);
-    try_solve_dist(&ctx, Backend::Nccl, dh, params, None)
-}
-
-/// Serial warm-started entry point for sequences of correlated problems.
-pub fn try_solve_serial_warm<T: Scalar + Reduce>(
     h: &Matrix<T>,
     params: &Params,
     warm: Option<&WarmStart<T>>,
@@ -1448,16 +1379,7 @@ where
 {
     let ctx = chase_comm::solo_ctx();
     let dh = DistHerm::from_global(h, &ctx);
-    try_solve_dist_warm(&ctx, Backend::Nccl, dh, params, warm)
-}
-
-/// Serial convenience entry point (panics on unrecoverable injected faults).
-pub fn solve_serial<T: Scalar + Reduce>(h: &Matrix<T>, params: &Params) -> ChaseResult<T>
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    try_solve_serial(h, params).unwrap_or_else(|e| panic!("ChASE solve aborted: {e}"))
+    try_solve_dist(&ctx, Backend::Nccl, dh, params, warm)
 }
 
 #[cfg(test)]
@@ -1484,12 +1406,35 @@ mod tests {
         let h = chase_matgen::dense_with_spectrum::<C64>(&spec, 42);
         let mut p = Params::new(6, 4);
         p.tol = 1e-9;
-        let r = solve_serial(&h, &p);
+        let r = try_solve_serial(&h, &p, None).expect("clean solve");
         assert!(r.converged, "did not converge in {} iters", r.iterations);
         for (k, v) in r.eigenvalues.iter().enumerate() {
             let want = spec.values()[k];
             assert!((v - want).abs() < 1e-7, "lambda_{k}: got {v}, want {want}");
         }
         assert!(r.matvecs > 0);
+    }
+
+    #[test]
+    fn warm_start_of_the_wrong_size_is_invalid_params() {
+        let spec = chase_matgen::Spectrum::uniform(64, -1.0, 1.0);
+        let h = chase_matgen::dense_with_spectrum::<f64>(&spec, 7);
+        let p = Params::new(6, 4);
+        let short = WarmStart::from_vectors(Matrix::<f64>::zeros(48, p.ne()));
+        let e = try_solve_serial(&h, &p, Some(&short)).expect_err("48-row block on n=64");
+        match e.kind {
+            ChaseErrorKind::InvalidParams { detail } => {
+                assert!(detail.contains("48 rows"), "{detail}")
+            }
+            k => panic!("expected InvalidParams, got {k:?}"),
+        }
+        let wide = WarmStart::from_vectors(Matrix::<f64>::zeros(64, p.ne() + 1));
+        let e = try_solve_serial(&h, &p, Some(&wide)).expect_err("ne+1 columns");
+        match e.kind {
+            ChaseErrorKind::InvalidParams { detail } => {
+                assert!(detail.contains("got 11, ne 10"), "{detail}")
+            }
+            k => panic!("expected InvalidParams, got {k:?}"),
+        }
     }
 }

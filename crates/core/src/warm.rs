@@ -47,6 +47,25 @@ impl<T: Scalar> WarmStart<T> {
         }
     }
 
+    /// Check that this payload fits a problem of order `n` with an
+    /// `ne`-column search space: `v0` must have `n` rows and `1..=ne`
+    /// columns. A warm start carried over from a differently sized step of
+    /// a sequence fails here with a message instead of reaching the solver.
+    pub fn check_fits(&self, n: usize, ne: usize) -> Result<(), String> {
+        let (rows, k) = (self.v0.rows(), self.v0.cols());
+        if rows != n {
+            return Err(format!(
+                "warm-start block has {rows} rows, problem size is {n}"
+            ));
+        }
+        if !(1..=ne).contains(&k) {
+            return Err(format!(
+                "warm-start block must have 1..=ne columns (got {k}, ne {ne})"
+            ));
+        }
+        Ok(())
+    }
+
     /// Bytes a session cache pays to keep this payload resident.
     pub fn bytes(&self) -> usize {
         self.v0.bytes() + std::mem::size_of::<SpectralBounds<T::Real>>()

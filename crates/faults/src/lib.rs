@@ -308,6 +308,15 @@ impl FaultSpec {
             .collect()
     }
 
+    /// Whether this campaign plans at least one `rank-crash`: such a solve
+    /// must run under the elastic driver, which survives the death by
+    /// shrinking the grid.
+    pub fn plans_rank_crash(&self) -> bool {
+        self.injections
+            .iter()
+            .any(|i| i.kind == FaultKind::RankCrash)
+    }
+
     /// This campaign minus every `rank-crash` injection — what the resumed
     /// attempt on the shrunk grid runs under (world ranks renumber after the
     /// shrink, so re-arming the crash would be ill-defined), or `None` when
@@ -922,7 +931,9 @@ mod tests {
         let sites = spec.crash_sites();
         assert_eq!(sites.len(), 1);
         assert_eq!((sites[0].iter, sites[0].rank), (2, 3));
+        assert!(spec.plans_rank_crash());
         let rest = spec.without_rank_crash().unwrap();
+        assert!(!rest.plans_rank_crash());
         assert_eq!(rest.injections.len(), 1);
         assert_eq!(rest.injections[0].kind, FaultKind::NanPayload);
         assert_eq!(rest.seed, 9);

@@ -17,11 +17,12 @@ use crate::metrics::ServeMetrics;
 use crate::plan::{build_plan, Plan};
 use chase_comm::Reduce;
 use chase_core::{
-    try_solve_dist_warm, try_solve_elastic, ChaseError, ChaseErrorKind, ChaseResult, DistHerm,
+    try_solve_dist, try_solve_elastic, ChaseError, ChaseErrorKind, ChaseResult, DistHerm,
     RecoveryEventKind, RecoveryLog, WarmStart,
 };
 use chase_device::Backend;
-use chase_linalg::{Matrix, Scalar};
+use chase_faults::FaultSpec;
+use chase_linalg::Scalar;
 use chase_trace::{Trace, TraceRecorder};
 use chase_tune::{plan_from_entry, plan_key, tune_entry, MeasuredHook, PlanDb, TuneOptions};
 use parking_lot::{Condvar, Mutex};
@@ -404,7 +405,7 @@ where
                             .params
                             .inject
                             .as_ref()
-                            .is_some_and(|s| !s.crash_sites().is_empty());
+                            .is_some_and(FaultSpec::plans_rank_crash);
                         let (payload, kind) = if crashy {
                             // A crash-spec'd job runs the elastic path and
                             // resumes from its own checkpoints, not the
@@ -498,9 +499,17 @@ where
 /// everything it needs arrives as arguments, everything it learns leaves in
 /// the return value (plus an idempotent plan-DB insert when it tuned).
 ///
+/// A job whose fault spec plans a rank crash runs under
+/// [`try_solve_elastic`], so the planned death shrinks the grid and the
+/// solve resumes from the job's checkpoint directory (cold from iteration 0
+/// when none is configured). Ranks that leave the computation (the victim,
+/// idled-out survivors) contribute nothing; the survivors' results assemble
+/// exactly like a normal solve because together they still cover every row
+/// of the shrunk layout.
+///
 /// The third return reports plan resolution: `Some(true)` = this job ran
 /// measurement trials (cold DB), `Some(false)` = reused a DB entry with
-/// zero trials, `None` = tuning disabled.
+/// zero trials, `None` = tuning disabled or a crash-spec'd job.
 fn run_job<T: Scalar + Reduce>(
     spec: &JobSpec<T>,
     warm: Option<&WarmStart<T>>,
@@ -514,23 +523,17 @@ where
     T::Lo: Reduce,
 {
     let h = spec.matrix.materialize();
-    let params = spec.params.clone();
-    if params
+    let params = &spec.params;
+    let elastic = params
         .inject
         .as_ref()
-        .is_some_and(|s| !s.crash_sites().is_empty())
-    {
-        // The job's fault spec plans a rank crash: route through the
-        // elastic driver so the crash is survived by a shrink + checkpoint
-        // resume instead of wedging the grid. Tuning is skipped — a
-        // measured plan keyed to the original grid would be wrong for the
-        // shrunk one.
-        return run_job_elastic(spec, &h, backend, record_traces);
-    }
+        .is_some_and(FaultSpec::plans_rank_crash);
     // Plan phase: decide hit-vs-tune once, before the SPMD region, so every
     // rank of the grid agrees (a per-rank DB lookup could straddle another
-    // worker's insert and deadlock the grid's collectives).
-    let cached = tune.map(|opts| {
+    // worker's insert and deadlock the grid's collectives). Elastic jobs
+    // skip tuning: a measured plan keyed to the original grid would be
+    // wrong for the shrunk one.
+    let cached = tune.filter(|_| !elastic).map(|opts| {
         let key = plan_key::<T>(
             &opts.machine,
             spec.grid.p,
@@ -546,22 +549,28 @@ where
         if let Some(r) = &rec {
             ctx.set_trace_hook(Some(r.clone() as Arc<dyn chase_comm::TraceHook>));
         }
-        let mut dh = DistHerm::from_global(&h, ctx);
-        let mut params = params.clone();
-        let entry = match &cached {
-            Some(Some(e)) => Some(e.clone()),
-            Some(None) => {
-                let opts = tune.expect("tune options present on a DB miss");
-                Some(tune_entry(ctx, &mut dh, params.nev, params.nex, opts).entry)
+        let (result, entry) = if elastic {
+            let outcome = try_solve_elastic(ctx, backend, |c| DistHerm::from_global(&h, c), params);
+            (outcome.map(|o| o.result), None)
+        } else {
+            let mut dh = DistHerm::from_global(&h, ctx);
+            let mut params = params.clone();
+            let entry = match &cached {
+                Some(Some(e)) => Some(e.clone()),
+                Some(None) => {
+                    let opts = tune.expect("tune options present on a DB miss");
+                    Some(tune_entry(ctx, &mut dh, params.nev, params.nex, opts).entry)
+                }
+                None => None,
+            };
+            if let Some(e) = &entry {
+                params.apply_plan(&plan_from_entry(e));
+                ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(e.clone()))));
             }
-            None => None,
+            let result = try_solve_dist(ctx, backend, dh, &params, warm);
+            ctx.set_tune_hook(None);
+            (Some(result), entry)
         };
-        if let Some(e) = &entry {
-            params.apply_plan(&plan_from_entry(e));
-            ctx.set_tune_hook(Some(Arc::new(MeasuredHook::new(e.clone()))));
-        }
-        let result = try_solve_dist_warm(ctx, backend, dh, &params, warm);
-        ctx.set_tune_hook(None);
         if rec.is_some() {
             ctx.set_trace_hook(None);
         }
@@ -573,9 +582,9 @@ where
     let mut entry_out = None;
     for (res, tr, entry) in out.results {
         match res {
-            Ok(r) => oks.push(r),
-            Err(e) if err.is_none() => err = Some(e),
-            Err(_) => {}
+            Some(Ok(r)) => oks.push(r),
+            Some(Err(e)) if err.is_none() => err = Some(e),
+            _ => {}
         }
         rank_traces.extend(tr);
         entry_out = entry_out.or(entry);
@@ -593,106 +602,33 @@ where
         }
     };
     let trace = record_traces.then_some(Trace { ranks: rank_traces });
-    match err {
-        Some(e) => (JobOutcome::Failed(e), trace, tuned),
+    if err.is_none() && oks.is_empty() {
+        // Every rank left the computation — e.g. the crash victim of a 1x1
+        // grid, which leaves no survivors to shrink onto.
+        err = Some(ChaseError {
+            kind: ChaseErrorKind::RankDead { dead: Vec::new() },
+            iter: 0,
+            recovery: RecoveryLog::default(),
+        });
+    }
+    let outcome = match err {
+        Some(e) => JobOutcome::Failed(e),
         None => {
             let eigenvectors = ChaseResult::assemble_eigenvectors(&oks);
             let r0 = oks.into_iter().next().expect("at least one rank");
-            (
-                JobOutcome::Done(SolveOutput {
-                    eigenvalues: r0.eigenvalues,
-                    residuals: r0.residuals,
-                    eigenvectors,
-                    bounds: r0.bounds,
-                    matvecs: r0.matvecs,
-                    lowprec_matvecs: r0.lowprec_matvecs,
-                    iterations: r0.iterations,
-                    converged: r0.converged,
-                    recovery: r0.recovery,
-                    plan: r0.plan,
-                }),
-                trace,
-                tuned,
-            )
+            JobOutcome::Done(SolveOutput {
+                eigenvalues: r0.eigenvalues,
+                residuals: r0.residuals,
+                eigenvectors,
+                bounds: r0.bounds,
+                matvecs: r0.matvecs,
+                lowprec_matvecs: r0.lowprec_matvecs,
+                iterations: r0.iterations,
+                converged: r0.converged,
+                recovery: r0.recovery,
+                plan: r0.plan,
+            })
         }
-    }
-}
-
-/// The elastic leg of [`run_job`]: a crash-spec'd job runs under
-/// [`try_solve_elastic`], so a planned rank death mid-solve shrinks the
-/// grid and resumes from the job's checkpoint directory (cold from
-/// iteration 0 when none is configured). Ranks that leave the computation
-/// (the victim, idled-out survivors) return `None` and contribute nothing;
-/// the survivors' results assemble exactly like a normal solve because
-/// together they still cover every row of the shrunk layout.
-fn run_job_elastic<T: Scalar + Reduce>(
-    spec: &JobSpec<T>,
-    h: &Matrix<T>,
-    backend: Backend,
-    record_traces: bool,
-) -> (JobOutcome<T>, Option<Trace>, Option<bool>)
-where
-    T::Real: Reduce,
-    T::Lo: Reduce,
-{
-    let params = spec.params.clone();
-    let out = chase_comm::run_grid(spec.grid, |ctx| {
-        let rec = record_traces.then(|| Arc::new(TraceRecorder::new(ctx.world_rank())));
-        if let Some(r) = &rec {
-            ctx.set_trace_hook(Some(r.clone() as Arc<dyn chase_comm::TraceHook>));
-        }
-        let outcome = try_solve_elastic(ctx, backend, |c| DistHerm::from_global(h, c), &params);
-        ctx.set_trace_hook(None);
-        (outcome, rec.map(|r| r.finish()))
-    });
-    let mut oks: Vec<ChaseResult<T>> = Vec::new();
-    let mut err = None;
-    let mut rank_traces = Vec::new();
-    for (res, tr) in out.results {
-        if let Some(o) = res {
-            match o.result {
-                Ok(r) => oks.push(r),
-                Err(e) if err.is_none() => err = Some(e),
-                Err(_) => {}
-            }
-        }
-        rank_traces.extend(tr);
-    }
-    let trace = record_traces.then_some(Trace { ranks: rank_traces });
-    match err {
-        Some(e) => (JobOutcome::Failed(e), trace, None),
-        None if oks.is_empty() => {
-            // Every rank left the computation — e.g. the victim of a 1x1
-            // grid, which leaves no survivors to shrink onto.
-            (
-                JobOutcome::Failed(ChaseError {
-                    kind: ChaseErrorKind::RankDead { dead: Vec::new() },
-                    iter: 0,
-                    recovery: RecoveryLog::default(),
-                }),
-                trace,
-                None,
-            )
-        }
-        None => {
-            let eigenvectors = ChaseResult::assemble_eigenvectors(&oks);
-            let r0 = oks.into_iter().next().expect("at least one rank");
-            (
-                JobOutcome::Done(SolveOutput {
-                    eigenvalues: r0.eigenvalues,
-                    residuals: r0.residuals,
-                    eigenvectors,
-                    bounds: r0.bounds,
-                    matvecs: r0.matvecs,
-                    lowprec_matvecs: r0.lowprec_matvecs,
-                    iterations: r0.iterations,
-                    converged: r0.converged,
-                    recovery: r0.recovery,
-                    plan: r0.plan,
-                }),
-                trace,
-                None,
-            )
-        }
-    }
+    };
+    (outcome, trace, tuned)
 }

@@ -10,7 +10,7 @@
 //! densely packed just above the optical edge — a few eigenpairs out of a
 //! large spectrum, ChASE's target regime.
 
-use chase_core::{solve_serial, Params, QrStrategy};
+use chase_core::{try_solve_serial, Params, QrStrategy};
 use chase_linalg::C64;
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
@@ -28,7 +28,7 @@ fn main() {
     params.qr = QrStrategy::Auto;
 
     let t0 = std::time::Instant::now();
-    let chase = solve_serial(&h, &params);
+    let chase = try_solve_serial(&h, &params, None).expect("ChASE solve aborted");
     let t_chase = t0.elapsed();
     assert!(chase.converged, "ChASE failed to converge");
 

@@ -9,7 +9,7 @@
 //! the 20 lowest eigenpairs with 10 extra search directions, and checks the
 //! answer against the prescribed spectrum.
 
-use chase_core::{solve_serial, Params};
+use chase_core::{try_solve_serial, Params};
 use chase_linalg::C64;
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
@@ -30,7 +30,7 @@ fn main() {
         "Running ChASE (nev = {nev}, nex = {nex}, tol = {:.0e})...",
         params.tol
     );
-    let result = solve_serial(&h, &params);
+    let result = try_solve_serial(&h, &params, None).expect("ChASE solve aborted");
 
     println!(
         "Converged: {} in {} iterations, {} MatVecs\n",

@@ -8,7 +8,7 @@
 //! ```
 
 use chase_comm::{run_grid, GridShape, Region};
-use chase_core::{solve_dist, DistHerm, Params, QrStrategy};
+use chase_core::{try_solve_dist, DistHerm, Params, QrStrategy};
 use chase_device::Backend;
 use chase_linalg::C64;
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -35,13 +35,14 @@ fn main() {
         p.qr = QrStrategy::AlwaysCholeskyQr2;
         let (href, pref) = (&h, &p);
         let out = run_grid(shape, move |ctx| {
-            solve_dist(
+            try_solve_dist(
                 ctx,
                 Backend::Nccl,
                 DistHerm::from_global(href, ctx),
                 pref,
                 None,
             )
+            .expect("ChASE solve aborted")
         });
         let bytes = out.ledgers[0].bytes_in(chase_comm::Category::Comm);
         let costs = price_ledger(&out.ledgers[0], &machine, PriceCtx::nccl());

@@ -18,6 +18,7 @@ use chase_core::{
     lms::solve_lms, try_solve_dist, ChaseError, ChaseResult, DistHerm, Params, QrStrategy,
 };
 use chase_device::{Backend, CollectiveAlgo};
+use chase_faults::FaultSpec;
 use chase_linalg::{Matrix, RealScalar, Scalar, C64};
 use chase_matgen::io::{load, save_c64, save_f64, LoadedMatrix};
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -161,7 +162,7 @@ where
     let crashy = params
         .inject
         .as_ref()
-        .is_some_and(|s| !s.crash_sites().is_empty());
+        .is_some_and(FaultSpec::plans_rank_crash);
     let out = run_grid(shape, move |ctx| {
         // One recorder per rank, installed before any collective so the
         // trace covers the bounds estimate too; always uninstalled before
@@ -450,7 +451,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     // `--no-guards` disables the detection/recovery layer (chaos ablation).
     params.inject = match flags.get("inject") {
         Some(spec) => Some(
-            spec.parse::<chase_faults::FaultSpec>()
+            spec.parse::<FaultSpec>()
                 .map_err(|e| format!("--inject: {e}"))?,
         ),
         None => None,
@@ -458,7 +459,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
     if params
         .inject
         .as_ref()
-        .is_some_and(|s| !s.crash_sites().is_empty())
+        .is_some_and(FaultSpec::plans_rank_crash)
     {
         silence_expected_crash_panics();
     }
@@ -521,7 +522,7 @@ fn cmd_solve(flags: HashMap<String, String>) -> Result<(), String> {
         && params
             .inject
             .as_ref()
-            .is_some_and(|s| !s.crash_sites().is_empty())
+            .is_some_and(FaultSpec::plans_rank_crash)
     {
         return Err("--plan-db is not supported with a rank-crash fault plan \
              (the measured plan is keyed to the pre-crash grid)"
@@ -769,7 +770,7 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), String> {
         j.params
             .inject
             .as_ref()
-            .is_some_and(|s| !s.crash_sites().is_empty())
+            .is_some_and(FaultSpec::plans_rank_crash)
     }) {
         silence_expected_crash_panics();
     }

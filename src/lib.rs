@@ -14,6 +14,9 @@ pub use chase_perfmodel as perfmodel;
 pub use chase_serve as serve;
 pub use chase_trace as trace;
 
-pub use chase_core::{solve_dist, solve_serial, ChaseResult, Params, QrStrategy, WarmStart};
+pub use chase_core::{
+    try_solve_dist, try_solve_elastic, try_solve_serial, ChaseError, ChaseResult, Params,
+    QrStrategy, WarmStart,
+};
 pub use chase_linalg::{Matrix, C32, C64};
 pub use chase_serve::{JobSpec, Scheduler, SchedulerConfig};

@@ -4,7 +4,7 @@
 //! the paper's 900-node scales.
 
 use chase_comm::{run_grid, Category, GridShape, Ledger, Region};
-use chase_core::{solve_dist, DistHerm, Params, QrStrategy};
+use chase_core::{try_solve_dist, DistHerm, Params, QrStrategy};
 use chase_device::Backend;
 use chase_linalg::C64;
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -30,7 +30,7 @@ fn live_one_iteration(n: usize, ne: usize, backend: Backend, lms: bool) -> Ledge
         if lms {
             chase_core::lms::solve_lms(ctx, dh, pref, None)
         } else {
-            solve_dist(ctx, backend, dh, pref, None)
+            try_solve_dist(ctx, backend, dh, pref, None).expect("ChASE solve aborted")
         }
     });
     let mut filtered = Ledger::new();

@@ -3,7 +3,7 @@
 //! assembled eigenvectors whether `H` is dealt in blocks or block-cyclically.
 
 use chase_comm::{run_grid, Distribution, GridShape};
-use chase_core::{solve_dist, solve_serial, ChaseResult, DistHerm, Params};
+use chase_core::{try_solve_dist, try_solve_serial, ChaseResult, DistHerm, Params};
 use chase_device::Backend;
 use chase_linalg::{gemm_new, gram, Op, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -15,7 +15,7 @@ fn block_cyclic_solve_matches_serial() {
     let h = dense_with_spectrum::<C64>(&spec, 7);
     let mut p = Params::new(8, 6);
     p.tol = 1e-9;
-    let reference = solve_serial(&h, &p);
+    let reference = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(reference.converged);
 
     for dist in [
@@ -31,7 +31,7 @@ fn block_cyclic_solve_matches_serial() {
             let (h, p, reference) = (&h, &p, &reference);
             let out = run_grid(shape, move |ctx| {
                 let dh = DistHerm::from_global_dist(h, ctx, dist);
-                solve_dist(ctx, Backend::Nccl, dh, p, None)
+                try_solve_dist(ctx, Backend::Nccl, dh, p, None).expect("ChASE solve aborted")
             });
             for r in &out.results {
                 assert!(r.converged, "{dist:?} {shape:?} did not converge");
@@ -72,22 +72,24 @@ fn block_and_cyclic_are_bitwise_identical_in_counts() {
     let href = &h;
     let pref = &p;
     let block = run_grid(GridShape::new(2, 2), move |ctx| {
-        solve_dist(
+        try_solve_dist(
             ctx,
             Backend::Nccl,
             DistHerm::from_global_dist(href, ctx, Distribution::Block),
             pref,
             None,
         )
+        .expect("ChASE solve aborted")
     });
     let cyclic = run_grid(GridShape::new(2, 2), move |ctx| {
-        solve_dist(
+        try_solve_dist(
             ctx,
             Backend::Nccl,
             DistHerm::from_global_dist(href, ctx, Distribution::BlockCyclic { block: 5 }),
             pref,
             None,
         )
+        .expect("ChASE solve aborted")
     });
     let (b, c) = (&block.results[0], &cyclic.results[0]);
     assert!(b.converged && c.converged);
@@ -105,7 +107,7 @@ fn lms_supports_block_cyclic_too() {
     let h = dense_with_spectrum::<C64>(&spec, 9);
     let mut p = Params::new(5, 4);
     p.tol = 1e-9;
-    let reference = solve_serial(&h, &p);
+    let reference = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     let (href, pref) = (&h, &p);
     let out = run_grid(GridShape::new(2, 2), move |ctx| {
         let dh = DistHerm::from_global_dist(href, ctx, Distribution::BlockCyclic { block: 3 });

@@ -4,7 +4,7 @@
 //! "same convergence behaviour" statements (Section 4.3).
 
 use chase_comm::{run_grid, GridShape};
-use chase_core::{lms::solve_lms, solve_dist, solve_serial, ChaseResult, DistHerm, Params};
+use chase_core::{lms::solve_lms, try_solve_dist, try_solve_serial, ChaseResult, DistHerm, Params};
 use chase_device::Backend;
 use chase_linalg::{gemm_new, gram, Matrix, Op, Scalar, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -25,7 +25,7 @@ fn params() -> Params {
 fn serial_matches_direct_reference() {
     let (h, _) = test_problem(80);
     let p = params();
-    let chase = solve_serial(&h, &p);
+    let chase = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(chase.converged);
     let direct = chase_direct::eigh_one_stage(&h);
     for k in 0..p.nev {
@@ -42,7 +42,7 @@ fn serial_matches_direct_reference() {
 fn all_grids_and_backends_agree_with_serial() {
     let (h, _) = test_problem(72);
     let p = params();
-    let reference = solve_serial(&h, &p);
+    let reference = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(reference.converged);
 
     for shape in [
@@ -56,7 +56,7 @@ fn all_grids_and_backends_agree_with_serial() {
             let (h, p, reference) = (&h, &p, &reference);
             let out = run_grid(shape, move |ctx| {
                 let dh = DistHerm::from_global(h, ctx);
-                solve_dist(ctx, backend, dh, p, None)
+                try_solve_dist(ctx, backend, dh, p, None).expect("ChASE solve aborted")
             });
             for r in &out.results {
                 assert!(r.converged, "{shape:?} {backend:?} did not converge");
@@ -96,7 +96,7 @@ fn all_grids_and_backends_agree_with_serial() {
 fn lms_layout_agrees_with_new_scheme() {
     let (h, _) = test_problem(64);
     let p = params();
-    let reference = solve_serial(&h, &p);
+    let reference = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     let (href, pref) = (&h, &p);
     let out = run_grid(GridShape::new(2, 2), move |ctx| {
         let dh = DistHerm::from_global(href, ctx);
@@ -122,22 +122,24 @@ fn backends_differ_only_in_ledger_not_results() {
     let href = &h;
     let pref = &p;
     let std_out = run_grid(GridShape::new(2, 2), move |ctx| {
-        solve_dist(
+        try_solve_dist(
             ctx,
             Backend::Std,
             DistHerm::from_global(href, ctx),
             pref,
             None,
         )
+        .expect("ChASE solve aborted")
     });
     let nccl_out = run_grid(GridShape::new(2, 2), move |ctx| {
-        solve_dist(
+        try_solve_dist(
             ctx,
             Backend::Nccl,
             DistHerm::from_global(href, ctx),
             pref,
             None,
         )
+        .expect("ChASE solve aborted")
     });
     // Bitwise identical math.
     for (a, b) in std_out.results.iter().zip(&nccl_out.results) {
@@ -166,7 +168,7 @@ fn dft_surrogate_problem_converges() {
     let h = dense_with_spectrum::<C64>(&spec, 99);
     let mut p = Params::new(12, 6);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(
         r.converged,
         "DFT surrogate did not converge in {} iters",

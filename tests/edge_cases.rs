@@ -2,7 +2,7 @@
 //! reporting, maximal subspaces, degenerate spectra, and more ranks than the
 //! problem comfortably fits.
 
-use chase_core::{solve_serial, Params};
+use chase_core::{try_solve_serial, ChaseErrorKind, Params};
 use chase_linalg::C64;
 use chase_matgen::{dense_with_spectrum, Spectrum};
 
@@ -13,7 +13,7 @@ fn minimal_search_space() {
     let h = dense_with_spectrum::<C64>(&spec, 1);
     let mut p = Params::new(1, 1);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(r.converged);
     assert!((r.eigenvalues[0] - spec.min()).abs() < 1e-7);
 }
@@ -25,7 +25,7 @@ fn non_convergence_is_reported_not_panicked() {
     let mut p = Params::new(6, 4);
     p.tol = 1e-12;
     p.max_iter = 1; // impossible budget
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(!r.converged);
     assert_eq!(r.iterations, 1);
     // Best-effort eigenvalues are still returned (nev of them).
@@ -42,7 +42,7 @@ fn repeated_eigenvalues() {
     let h = dense_with_spectrum::<C64>(&spec, 3);
     let mut p = Params::new(6, 4);
     p.tol = 1e-8;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(
         r.converged,
         "degenerate problem stalled at iter {}",
@@ -65,7 +65,7 @@ fn subspace_close_to_full_dimension() {
     let h = dense_with_spectrum::<C64>(&spec, 4);
     let mut p = Params::new(10, 5);
     p.tol = 1e-8;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(r.converged);
     for k in 0..10 {
         assert!((r.eigenvalues[k] - spec.values()[k]).abs() < 1e-6);
@@ -79,7 +79,7 @@ fn negative_definite_spectrum() {
     let h = dense_with_spectrum::<C64>(&spec, 5);
     let mut p = Params::new(5, 4);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(r.converged);
     assert!((r.eigenvalues[0] + 9.0).abs() < 1e-7);
 }
@@ -88,7 +88,7 @@ fn negative_definite_spectrum() {
 fn tiny_matrix_many_ranks() {
     // 3x3 grid on a 20-dimensional problem: some ranks own 2-row slivers.
     use chase_comm::{run_grid, GridShape};
-    use chase_core::{solve_dist, DistHerm};
+    use chase_core::{try_solve_dist, DistHerm};
     use chase_device::Backend;
     let spec = Spectrum::uniform(20, -1.0, 1.0);
     let h = dense_with_spectrum::<C64>(&spec, 6);
@@ -96,13 +96,14 @@ fn tiny_matrix_many_ranks() {
     p.tol = 1e-8;
     let (href, pref) = (&h, &p);
     let out = run_grid(GridShape::new(3, 3), move |ctx| {
-        solve_dist(
+        try_solve_dist(
             ctx,
             Backend::Nccl,
             DistHerm::from_global(href, ctx),
             pref,
             None,
         )
+        .expect("ChASE solve aborted")
     });
     for r in &out.results {
         assert!(r.converged);
@@ -111,10 +112,15 @@ fn tiny_matrix_many_ranks() {
 }
 
 #[test]
-#[should_panic(expected = "search space")]
 fn oversized_subspace_rejected() {
     let spec = Spectrum::uniform(10, -1.0, 1.0);
     let h = dense_with_spectrum::<C64>(&spec, 7);
     let p = Params::new(8, 8); // ne = 16 > n = 10
-    solve_serial(&h, &p);
+    let e = try_solve_serial(&h, &p, None).expect_err("ne > n must be rejected");
+    match e.kind {
+        ChaseErrorKind::InvalidParams { detail } => {
+            assert!(detail.contains("search space"), "{detail}")
+        }
+        k => panic!("expected InvalidParams, got {k:?}"),
+    }
 }

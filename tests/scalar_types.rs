@@ -3,7 +3,7 @@
 //! single/double — with tolerances scaled to the precision.
 
 use chase_comm::{run_grid, GridShape, Reduce};
-use chase_core::{solve_dist, solve_serial, DistHerm, Params};
+use chase_core::{try_solve_dist, try_solve_serial, DistHerm, Params};
 use chase_device::Backend;
 use chase_linalg::{RealScalar, Scalar, C32, C64};
 use chase_matgen::{dense_with_spectrum, Spectrum};
@@ -19,7 +19,7 @@ fn solve_f64() {
     let h = dense_with_spectrum::<f64>(&spec, 1);
     let mut p = Params::new(6, 4);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(r.converged);
     for k in 0..p.nev {
         assert!((r.eigenvalues[k] - spec.values()[k]).abs() < 1e-7);
@@ -33,7 +33,7 @@ fn solve_c64() {
     let h = dense_with_spectrum::<C64>(&spec, 2);
     let mut p = Params::new(6, 4);
     p.tol = 1e-9;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(r.converged);
     for k in 0..p.nev {
         assert!((r.eigenvalues[k] - spec.values()[k]).abs() < 1e-7);
@@ -48,7 +48,7 @@ fn solve_f32() {
     let mut p = Params::new(6, 4);
     // Single precision: the paper's 1e-10 is unreachable; use ~sqrt(eps_32).
     p.tol = 1e-4;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(
         r.converged,
         "f32 solve failed after {} iterations",
@@ -71,7 +71,7 @@ fn solve_c32() {
     let h = dense_with_spectrum::<C32>(&spec, 4);
     let mut p = Params::new(6, 4);
     p.tol = 1e-4;
-    let r = solve_serial(&h, &p);
+    let r = try_solve_serial(&h, &p, None).expect("ChASE solve aborted");
     assert!(
         r.converged,
         "c32 solve failed after {} iterations",
@@ -101,7 +101,7 @@ where
     let (h, p) = (&h, &p);
     let out = run_grid(shape, move |ctx| {
         let dh = DistHerm::from_global(h, ctx);
-        solve_dist(ctx, Backend::Nccl, dh, p, None)
+        try_solve_dist(ctx, Backend::Nccl, dh, p, None).expect("ChASE solve aborted")
     });
     let r0 = &out.results[0];
     assert!(

@@ -471,6 +471,44 @@ fn workload_parses_precision_key() {
     assert!(err.contains("bad") && err.contains("precision"), "{err}");
 }
 
+/// A session whose next step changes the problem size or shrinks the
+/// search space below the cached warm block cannot reuse that block: the
+/// step fails alone with a typed `InvalidParams`, and the drain finishes
+/// instead of panicking a rank and hanging the pool.
+#[test]
+fn misfit_warm_start_fails_the_step_without_hanging() {
+    let cases = [
+        (
+            "gen name=s0 n=48 spectrum=dft gseed=7 nev=6 session=scf step=0\n\
+             gen name=s1 n=64 spectrum=dft gseed=7 nev=6 session=scf step=1\n",
+            "48 rows",
+        ),
+        (
+            "gen name=s0 n=48 spectrum=dft gseed=7 nev=8 session=scf step=0\n\
+             gen name=s1 n=48 spectrum=dft gseed=7 nev=2 nex=1 session=scf step=1\n",
+            "got 8, ne 3",
+        ),
+    ];
+    for (workload, why) in cases {
+        let mut sched: Scheduler<C64> = Scheduler::new(SchedulerConfig::default());
+        for j in chase_serve::parse_workload(workload).expect("workload must parse") {
+            sched.submit(j).expect("admission");
+        }
+        let reports = sched.drain();
+        let by_name: BTreeMap<_, _> = reports.iter().map(|r| (r.name.as_str(), r)).collect();
+        assert!(by_name["s0"].solve().is_some(), "step 0 must be done");
+        match &by_name["s1"].outcome {
+            JobOutcome::Failed(e) => match &e.kind {
+                chase_core::ChaseErrorKind::InvalidParams { detail } => {
+                    assert!(detail.contains(why), "{detail}")
+                }
+                k => panic!("expected InvalidParams, got {k:?}"),
+            },
+            _ => panic!("step 1 must fail"),
+        }
+    }
+}
+
 /// A job whose fault spec plans a rank crash is routed through the elastic
 /// driver: the crash shrinks its grid, the solve resumes from the job's own
 /// checkpoints, the scheduler counts the retry, and — because the session
